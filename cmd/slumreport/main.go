@@ -11,7 +11,8 @@
 // With no -table/-figure selection, everything is printed. -scale divides
 // the paper's crawl volumes (default 20: ~50k URLs, seconds of runtime;
 // -scale 1 replays the full 1,003,087-URL crawl). -workers bounds the
-// analysis pipeline's detection pool (default: all CPUs); the output is
+// analysis pipeline's detection pool (default: all CPUs), and with
+// -stream the number of exchange pipelines run at once; the output is
 // identical for every worker count. -faults injects deterministic
 // transport faults into the crawl (off, flaky, lossy, slow, hostile) and
 // -retries bounds the crawler's per-URL retry budget; the crawl-health
@@ -22,8 +23,8 @@
 // the flag is byte-identical to an uninstrumented run.
 //
 // -stream runs the crawl and the analysis as one bounded-memory pipeline:
-// records flow from the crawler through the worker pool into incremental
-// aggregation, so peak memory no longer grows with the crawl length. The
+// each worker crawls, scans and folds whole exchanges, aggregating
+// incrementally, so peak memory no longer grows with the crawl length. The
 // report is byte-identical to the batch path's. -checkpoint FILE (implies
 // -stream) additionally persists the accumulator every -checkpoint-every
 // records; after a crash or kill, rerunning with -resume picks up from
@@ -85,7 +86,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("slumreport", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	scale := fs.Int("scale", 20, "divide paper crawl volumes by this factor")
-	workers := fs.Int("workers", 0, "analysis worker pool size (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "analysis worker pool size; with -stream, concurrent exchange pipelines (0 = all CPUs)")
 	faults := fs.String("faults", "", "crawl fault profile: "+strings.Join(httpsim.ProfileNames(), ", "))
 	retries := fs.Int("retries", 2, "crawl retries per URL after the first attempt")
 	jsFuel := fs.Int64("js-fuel", 0, "JS sandbox fuel budget per script (0 = default)")

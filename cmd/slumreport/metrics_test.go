@@ -37,11 +37,16 @@ func TestMetricsAdditive(t *testing.T) {
 }
 
 // metricsJSON runs the golden configuration with -json -metrics at the
-// given worker count and returns the decoded metrics block.
-func metricsJSON(t *testing.T, workers string) map[string]any {
+// given worker count (plus any extra flags) and returns the decoded
+// metrics block and the per-exchange crawled counts from Table I.
+func metricsJSON(t *testing.T, workers string, extra ...string) (map[string]any, map[string]int) {
 	t.Helper()
-	raw := captureReport(t, "-json", "-metrics", "-workers", workers)
+	raw := captureReport(t, append([]string{"-json", "-metrics", "-workers", workers}, extra...)...)
 	var rep struct {
+		Table1 []struct {
+			Name    string `json:"name"`
+			Crawled int    `json:"crawled"`
+		} `json:"table1"`
 		Metrics map[string]any `json:"metrics"`
 	}
 	if err := json.Unmarshal(raw, &rep); err != nil {
@@ -50,7 +55,11 @@ func metricsJSON(t *testing.T, workers string) map[string]any {
 	if rep.Metrics == nil {
 		t.Fatal("-json -metrics produced no metrics block")
 	}
-	return rep.Metrics
+	crawled := make(map[string]int, len(rep.Table1))
+	for _, row := range rep.Table1 {
+		crawled[row.Name] = row.Crawled
+	}
+	return rep.Metrics, crawled
 }
 
 // counterValues extracts name -> value from the export's counters array.
@@ -86,37 +95,56 @@ func stageCounts(t *testing.T, metrics map[string]any) map[string]float64 {
 }
 
 // TestMetricsCounterWorkerInvariance asserts the determinism contract for
-// count-valued metrics: every counter and every stage count must be
-// exactly identical across worker counts {1, 2, 8}, while timing-valued
-// metrics (gauges, histograms, stage latencies) are excluded from the
-// comparison.
+// count-valued metrics: on the batch path and on -stream, every counter
+// and every stage count must be exactly identical across worker counts
+// {1, 2, 8}, while timing-valued metrics (gauges, histograms, stage
+// latencies) are excluded from the comparison.
 func TestMetricsCounterWorkerInvariance(t *testing.T) {
-	base := metricsJSON(t, "1")
-	baseCounters := counterValues(t, base)
-	baseStages := stageCounts(t, base)
+	for _, mode := range []struct {
+		name  string
+		extra []string
+	}{{"batch", nil}, {"stream", []string{"-stream"}}} {
+		t.Run(mode.name, func(t *testing.T) {
+			base, crawled := metricsJSON(t, "1", mode.extra...)
+			baseCounters := counterValues(t, base)
+			baseStages := stageCounts(t, base)
 
-	// The interesting counters must exist and be non-zero — an empty map
-	// comparing equal to an empty map would be a vacuous pass.
-	for _, name := range []string{
-		"pipeline.cache.hits", "pipeline.cache.misses", "pipeline.inspections",
-		"pipeline.records", "pipeline.classified.regular", "pipeline.malicious",
-		"crawl.urls", "crawl.fetched", "crawl.fetch_attempts", "scanner.scans.file",
-	} {
-		if baseCounters[name] <= 0 {
-			t.Errorf("counter %s = %v, want > 0", name, baseCounters[name])
-		}
-	}
+			// The interesting counters must exist and be non-zero — an
+			// empty map comparing equal to an empty map would be a vacuous
+			// pass.
+			for _, name := range []string{
+				"pipeline.cache.hits", "pipeline.cache.misses", "pipeline.inspections",
+				"pipeline.classified.regular", "pipeline.malicious",
+				"crawl.urls", "crawl.fetched", "crawl.fetch_attempts", "scanner.scans.file",
+			} {
+				if baseCounters[name] <= 0 {
+					t.Errorf("counter %s = %v, want > 0", name, baseCounters[name])
+				}
+			}
+			if mode.name == "stream" {
+				// The stream path folds each exchange in batches of 64
+				// records, one aggregate span per batch.
+				for name, n := range crawled {
+					if got, want := baseStages[name+"/aggregate"], float64((n+63)/64); got != want {
+						t.Errorf("%s: %v aggregate spans for %d records, want %v", name, got, n, want)
+					}
+				}
+			} else if baseCounters["pipeline.records"] <= 0 {
+				t.Errorf("counter pipeline.records = %v, want > 0", baseCounters["pipeline.records"])
+			}
 
-	for _, workers := range []string{"2", "8"} {
-		m := metricsJSON(t, workers)
-		if got := counterValues(t, m); !reflect.DeepEqual(got, baseCounters) {
-			t.Errorf("-workers %s counters differ from -workers 1:\n got %v\nwant %v",
-				workers, got, baseCounters)
-		}
-		if got := stageCounts(t, m); !reflect.DeepEqual(got, baseStages) {
-			t.Errorf("-workers %s stage counts differ from -workers 1:\n got %v\nwant %v",
-				workers, got, baseStages)
-		}
+			for _, workers := range []string{"2", "8"} {
+				m, _ := metricsJSON(t, workers, mode.extra...)
+				if got := counterValues(t, m); !reflect.DeepEqual(got, baseCounters) {
+					t.Errorf("-workers %s counters differ from -workers 1:\n got %v\nwant %v",
+						workers, got, baseCounters)
+				}
+				if got := stageCounts(t, m); !reflect.DeepEqual(got, baseStages) {
+					t.Errorf("-workers %s stage counts differ from -workers 1:\n got %v\nwant %v",
+						workers, got, baseStages)
+				}
+			}
+		})
 	}
 }
 

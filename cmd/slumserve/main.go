@@ -81,10 +81,18 @@ func run(args []string) error {
 			*faults, strings.Join(httpsim.ProfileNames(), ", "))
 	}
 
+	// The signal handler goes in before anything slow: a SIGINT/SIGTERM
+	// during set-up must end the process cleanly (exit 0, no listener),
+	// not kill it by the default action.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sigc)
+
 	cfg := core.DefaultStudyConfig()
 	cfg.Seed = *seed
 	cfg.Scale = *scale
 	cfg.DriveShortenerTraffic = false
+	fmt.Printf("building universe (seed %d, scale %d)\n", cfg.Seed, cfg.Scale)
 	st, err := core.NewStudy(cfg)
 	if err != nil {
 		return err
@@ -140,6 +148,14 @@ func run(args []string) error {
 		Metrics:     registry,
 	})
 
+	select {
+	case sig := <-sigc:
+		fmt.Printf("%s during set-up: exiting before serving\n", sig)
+		scanSrv.Close()
+		return nil
+	default:
+	}
+
 	fmt.Printf("\nlistening on %s (route with the Host header)\n", *addr)
 	fmt.Printf("scan API: POST http://%s/api/v1/scan   GET http://%s/api/v1/jobs/{id}\n", *addr, *addr)
 	fmt.Printf("debug endpoints: http://%s/debug/metrics  http://%s/debug/pprof/\n", *addr, *addr)
@@ -154,8 +170,6 @@ func run(args []string) error {
 	// requests and every admitted scan job finish, then exit.
 	errc := make(chan error, 1)
 	go func() { errc <- srv.ListenAndServe() }()
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	select {
 	case err := <-errc:
 		scanSrv.Close()

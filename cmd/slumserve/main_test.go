@@ -1,13 +1,20 @@
 package main
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
+	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"os/exec"
 	"strings"
+	"syscall"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/httpsim"
@@ -267,7 +274,62 @@ func min(a, b int) int {
 	return b
 }
 
+// TestSignalDuringSetup runs slumserve as a child process and sends it
+// SIGTERM as soon as it prints its first line, while the universe is
+// still being built. The process must exit 0 without ever listening —
+// not die of the signal because no handler was installed yet.
+func TestSignalDuringSetup(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	cmd := exec.CommandContext(ctx, os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), childArgsEnv+"=-addr "+addr+" -scale 5")
+	stdout, err := cmd.StdoutPipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cmd.Start(); err != nil {
+		t.Fatal(err)
+	}
+	r := bufio.NewReader(stdout)
+	first, err := r.ReadString('\n')
+	if err != nil {
+		t.Fatalf("reading first line: %v", err)
+	}
+	if err := cmd.Process.Signal(syscall.SIGTERM); err != nil {
+		t.Fatal(err)
+	}
+	rest, _ := io.ReadAll(r)
+	err = cmd.Wait()
+	out := first + string(rest)
+	var exitErr *exec.ExitError
+	if errors.As(err, &exitErr) {
+		t.Fatalf("SIGTERM during set-up: %v, want a clean exit 0\noutput:\n%s", err, out)
+	} else if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "listening on") {
+		t.Fatalf("process started serving after a set-up SIGTERM:\n%s", out)
+	}
+}
+
+// childArgsEnv, when set in the environment, makes the test binary run
+// slumserve's main with these space-separated arguments instead of the
+// tests.
+const childArgsEnv = "SLUMSERVE_TEST_CHILD_ARGS"
+
 func TestMain(m *testing.M) {
+	if args, ok := os.LookupEnv(childArgsEnv); ok {
+		os.Args = append([]string{"slumserve"}, strings.Fields(args)...)
+		main()
+		os.Exit(0)
+	}
 	null, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
 	if err == nil {
 		os.Stdout = null

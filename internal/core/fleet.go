@@ -77,7 +77,6 @@ func ShardPath(dir string, i int) string {
 // no field needs locking.
 type shardRun struct {
 	idx     int // exchange / shard index
-	pos     int // position in the run's scope slice
 	fold    *foldState
 	visits  map[string]*shardVisit
 	startAt int // records [0, startAt) are restored, fetch-replayed, not folded
@@ -121,7 +120,7 @@ func (st *Study) RunFleet(opts FleetOptions) error {
 	runs := make([]*shardRun, len(scope))
 	resumedTotal := 0
 	for pos, i := range scope {
-		sr := &shardRun{idx: i, pos: pos, visits: map[string]*shardVisit{}}
+		sr := &shardRun{idx: i, visits: map[string]*shardVisit{}}
 		sr.fold = newFoldState(an, names[i:i+1], kinds[i:i+1], false)
 		if opts.Resume {
 			ck, lerr := LoadCheckpoint(ShardPath(opts.ShardDir, i))
@@ -165,26 +164,6 @@ func (st *Study) RunFleet(opts FleetOptions) error {
 	an.Metrics.Gauge("fleet.size").Set(int64(fleet))
 	an.Metrics.Gauge("fleet.shards").Set(int64(len(scope)))
 
-	// Longest-plan-first queue order: the biggest shard is claimed first,
-	// so the fleet's wall clock approaches max(longest shard, total/N)
-	// instead of whatever an arbitrary order leaves for last.
-	order := make([]int, len(scope))
-	for p := range order {
-		order[p] = p
-	}
-	sort.SliceStable(order, func(a, b int) bool {
-		sa, sb := st.Steps[runs[order[a]].idx], st.Steps[runs[order[b]].idx]
-		if sa != sb {
-			return sa > sb
-		}
-		return runs[order[a]].idx < runs[order[b]].idx
-	})
-	queue := make(chan *shardRun, len(scope))
-	for _, p := range order {
-		queue <- runs[p]
-	}
-	close(queue)
-
 	var fleetFolded atomic.Int64
 	var abortedFlag atomic.Bool
 	stopC := make(chan struct{})
@@ -193,25 +172,20 @@ func (st *Study) RunFleet(opts FleetOptions) error {
 
 	start := time.Now()
 	errs := make([]error, len(scope))
-	var wg sync.WaitGroup
-	for w := 0; w < fleet; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for sr := range queue {
-				select {
-				case <-stopC:
-					// The fleet is stopping: drain the queue without
-					// starting new shards (their checkpoints, if any,
-					// are untouched and resume cleanly).
-					continue
-				default:
-				}
-				errs[sr.pos] = st.runShard(sr, cache, opts, nShards, every, &fleetFolded, stopC, stop, &abortedFlag)
-			}
-		}()
+	plan := make([]int, len(scope))
+	for pos, i := range scope {
+		plan[pos] = st.Steps[i]
 	}
-	wg.Wait()
+	runLongestFirst(fleet, plan, func(pos int) {
+		select {
+		case <-stopC:
+			// The fleet is stopping: skip the shards not yet started (their
+			// checkpoints, if any, are untouched and resume cleanly).
+			return
+		default:
+		}
+		errs[pos] = st.runShard(runs[pos], cache, opts, nShards, every, &fleetFolded, stopC, stop, &abortedFlag)
+	})
 	stop()
 
 	for _, e := range errs {
@@ -254,8 +228,8 @@ func (st *Study) RunFleet(opts FleetOptions) error {
 	a.CacheStats = cstats
 	an.Metrics.Counter("pipeline.cache.hits").Add(int64(cstats.Hits))
 	an.Metrics.Counter("pipeline.cache.misses").Add(int64(cstats.Misses))
-	// One aggregate-stage span per exchange, mirroring the batch and
-	// streaming paths' span counts.
+	// One aggregate-stage span per exchange, mirroring the batch path's
+	// span counts.
 	for _, name := range names {
 		an.Tracer.Start(name, obs.StageAggregate).End()
 	}
@@ -271,6 +245,41 @@ func (st *Study) RunFleet(opts FleetOptions) error {
 		}
 	}
 	return nil
+}
+
+// runLongestFirst calls job(p) for every p in [0, len(plan)) on up to
+// workers goroutines sharing one queue ordered longest plan first (plan[p]
+// records, ties in index order): the biggest job is claimed first, so the
+// wall clock approaches max(longest plan, total/workers) instead of
+// whatever an arbitrary order leaves for last, and a worker that finishes
+// a short job immediately steals the next one. It returns once every job
+// has returned. Both RunFleet (one shard per job) and RunStream (one
+// exchange pipeline per job) schedule through it.
+func runLongestFirst(workers int, plan []int, job func(p int)) {
+	order := make([]int, len(plan))
+	for p := range order {
+		order[p] = p
+	}
+	sort.SliceStable(order, func(a, b int) bool { return plan[order[a]] > plan[order[b]] })
+	queue := make(chan int, len(order))
+	for _, p := range order {
+		queue <- p
+	}
+	close(queue)
+	if workers > len(order) {
+		workers = len(order)
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for p := range queue {
+				job(p)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 // runShard executes one shard's full pipeline on the calling worker

@@ -6,6 +6,7 @@ import (
 	"os"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/crawler"
@@ -19,9 +20,21 @@ import (
 // real SIGKILL.
 var ErrAborted = errors.New("core: streaming run aborted")
 
-// errStreamStopped unwinds the crawl goroutines once the aggregator has
-// decided to stop; it never escapes RunStream.
+// errStreamStopped unwinds a crawl once its run has decided to stop; it
+// never escapes RunStream or RunFleet.
 var errStreamStopped = errors.New("core: stream stopped")
+
+// foldBatch is how many scanned records a stream worker buffers per
+// exchange before taking the fold lock. Folding record by record convoys
+// every worker on that lock; 64 amortizes it while keeping in-flight
+// memory at O(workers × foldBatch) records.
+const foldBatch = 64
+
+// scanned is one record waiting in a worker's fold batch, with its verdict.
+type scanned struct {
+	rec crawler.Record
+	o   recOutcome
+}
 
 // StreamOptions tunes a bounded-memory streaming run (Study.RunStream).
 type StreamOptions struct {
@@ -37,10 +50,6 @@ type StreamOptions struct {
 	// and fast-forwards the crawl past the records it already covers. The
 	// checkpoint must validate against the study's seed and config.
 	Resume *Checkpoint
-	// Window bounds the streaming channels (scan queue and in-order fold
-	// queue); peak resident record count is O(Window + workers). <= 0
-	// means max(16, 4*workers).
-	Window int
 	// AbortAfter, when > 0, simulates a kill: the run stops with
 	// ErrAborted after folding that many records in this process, without
 	// writing a final checkpoint. Testing hook; 0 disables.
@@ -61,20 +70,23 @@ type StreamOptions struct {
 }
 
 // RunStream executes the crawl and the analysis as one bounded-memory
-// pipeline: crawler goroutines emit records through bounded channels, the
-// detection worker pool consumes them as they arrive, and a single
-// aggregator goroutine folds verdicts into the incremental accumulator in
-// per-exchange record order. Nothing accumulates per record — no record
-// slices, no HAR, no verdict log — so peak memory is O(workers + Window
-// + aggregate state), not O(URLs). The resulting st.Analysis is
-// element-identical to the batch path's (Study.Run) except that Verdicts
-// is left empty; every report rendered from it is byte-identical.
+// pipeline. Up to Workers goroutines claim whole exchanges off a
+// longest-plan-first queue; each runs its exchange's crawl → scan inline
+// and folds the outcomes, in crawl order, into one shared accumulator in
+// batches of foldBatch under a single lock. Nothing accumulates per
+// record — no record slices, no HAR, no verdict log — so peak memory is
+// O(workers × foldBatch + aggregate state), not O(URLs). The resulting
+// st.Analysis is element-identical to the batch path's (Study.Run) except
+// that Verdicts is left empty; every report rendered from it is
+// byte-identical.
 //
 // With a checkpoint path configured, kill-at-any-point + resume yields
 // the same final Analysis as an uninterrupted run: the resumed process
 // replays the deterministic crawl, skips the records the checkpoint
 // already covers (their fetches still run, keeping the virtual clock and
-// shortener hit counters exact), and folds only the remainder.
+// shortener hit counters exact), and folds only the remainder. Records
+// scanned but still in a batch when the run stops were never folded, so
+// a resume crawls them again like any other unfolded record.
 func (st *Study) RunStream(opts StreamOptions) error {
 	an := st.Analyzer
 	names, kinds := st.exchangeNamesKinds()
@@ -111,13 +123,6 @@ func (st *Study) RunStream(opts StreamOptions) error {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	window := opts.Window
-	if window <= 0 {
-		window = 4 * workers
-		if window < 16 {
-			window = 16
-		}
-	}
 	every := opts.CheckpointEvery
 	if every <= 0 {
 		every = 5000
@@ -138,136 +143,99 @@ func (st *Study) RunStream(opts StreamOptions) error {
 			an.Metrics.Counter("stream.delta.skipped_intel_shift").Inc()
 		}
 	}
-
 	an.Metrics.Gauge("pipeline.workers.configured").Set(int64(workers))
-	an.Metrics.Gauge("stream.window").Set(int64(window))
-	busy := an.Metrics.Gauge("pipeline.workers.busy")
-	peak := an.Metrics.Gauge("pipeline.workers.peak")
-	scanDepth := an.Metrics.Gauge("stream.scan_queue.depth")
-	scanPeak := an.Metrics.Gauge("stream.scan_queue.peak")
-	orderDepth := an.Metrics.Gauge("stream.order_queue.depth")
-	orderPeak := an.Metrics.Gauge("stream.order_queue.peak")
 
-	// streamJob carries one record through the pipeline. done is buffered
-	// so workers never block on it, which is what makes the shutdown and
-	// abort paths deadlock-free by construction.
-	type streamJob struct {
-		ex   int
-		rec  crawler.Record
-		done chan recOutcome
-	}
-	// Jobs are pooled: after the aggregator has received a job's outcome
-	// and folded it, no other goroutine holds the job (the worker's last
-	// touch is the done send, which the fold strictly follows), so it is
-	// recycled — record copy, done channel and all. Jobs drained on the
-	// abort path skip the pool: their done channel may still hold an
-	// unconsumed outcome.
-	jobs := sync.Pool{New: func() any { return &streamJob{done: make(chan recOutcome, 1)} }}
-	scanQ := make(chan *streamJob, window)
-	orderQ := make(chan *streamJob, window)
-	stopC := make(chan struct{})
-	var stopOnce sync.Once
-	stop := func() { stopOnce.Do(func() { close(stopC) }) }
-
-	var workerWG sync.WaitGroup
-	workerWG.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer workerWG.Done()
-			for j := range scanQ {
-				busy.Add(1)
-				peak.SetMax(busy.Value())
-				j.done <- an.scanOne(cache, names[j.ex], &j.rec)
-				busy.Add(-1)
+	// mu guards fs and the run's fold bookkeeping. halted is only set
+	// under mu but is read lock-free, so crawls unwind without queueing
+	// for the lock.
+	var (
+		mu            sync.Mutex
+		foldedThisRun int
+		aborted       bool
+		ckptErr       error
+		halted        atomic.Bool
+	)
+	// fold folds one exchange's batch in crawl order. Checkpoints and the
+	// abort budget are checked after every record, so both land on exact
+	// record counts even in the middle of a batch.
+	fold := func(ei int, batch []scanned) error {
+		mu.Lock()
+		defer mu.Unlock()
+		if halted.Load() {
+			return errStreamStopped
+		}
+		span := an.Tracer.Start(names[ei], obs.StageAggregate)
+		defer span.End()
+		for k := range batch {
+			fs.fold(ei, &batch[k].rec, batch[k].o)
+			foldedThisRun++
+			an.Metrics.Counter("stream.records").Inc()
+			if opts.CheckpointPath != "" && (resumedTotal+foldedThisRun)%every == 0 {
+				if err := writeCheckpointFile(opts.CheckpointPath, ckptAnalysis,
+					st.Config.Seed, st.Config.checkpointHash(), encodeFoldPayload(fs.snapshot())); err != nil {
+					ckptErr = err
+					halted.Store(true)
+					return errStreamStopped
+				}
+				an.Metrics.Counter("stream.checkpoint.writes").Inc()
 			}
-		}()
-	}
-
-	// sink runs on the per-exchange crawl goroutines. Records the resume
-	// checkpoint already covers are fetched (the virtual clock and the
-	// shortener hit counters must advance exactly as in the original run)
-	// but never scanned or folded. Jobs enter scanQ strictly before
-	// orderQ: anything the aggregator waits on is already on its way
-	// through the worker pool.
-	sink := func(ei int, rec *crawler.Record) error {
-		if rec.Seq < startAt[ei] {
-			an.Metrics.Counter("stream.skipped").Inc()
-			return nil
-		}
-		j := jobs.Get().(*streamJob)
-		j.ex, j.rec = ei, *rec
-		select {
-		case scanQ <- j:
-		case <-stopC:
-			return errStreamStopped
-		}
-		select {
-		case orderQ <- j:
-		case <-stopC:
-			return errStreamStopped
+			if opts.AbortAfter > 0 && foldedThisRun >= opts.AbortAfter {
+				aborted = true
+				halted.Store(true)
+				return errStreamStopped
+			}
 		}
 		return nil
 	}
 
 	start := time.Now()
-	crawlDone := make(chan error, 1)
-	go func() {
-		err := crawler.CrawlAllStream(st.Exchanges, transport, st.Steps, st.crawlOptions(), sink)
-		close(scanQ)
-		close(orderQ)
-		crawlDone <- err
-	}()
-
-	// The aggregator: the single owner of all fold state. It consumes
-	// jobs in emission order (per-exchange record order is preserved
-	// within the channel's per-sender FIFO guarantee; cross-exchange
-	// interleaving is harmless because every global aggregate is
-	// commutative), waits for each job's verdict, folds it, and writes
-	// periodic checkpoints from a self-consistent single-threaded view.
-	foldedThisRun := 0
-	aborted := false
-	var ckptErr error
-	for j := range orderQ {
-		if aborted {
-			continue // drain without folding so the crawlers can unwind
+	crawlErrs := make([]error, len(names))
+	base := st.crawlOptions()
+	runLongestFirst(workers, st.Steps, func(ei int) {
+		if halted.Load() {
+			return
 		}
-		o := <-j.done
-		fs.fold(j.ex, &j.rec, o)
-		jobs.Put(j)
-		foldedThisRun++
-		an.Metrics.Counter("stream.records").Inc()
-		scanDepth.Set(int64(len(scanQ)))
-		scanPeak.SetMax(int64(len(scanQ)))
-		orderDepth.Set(int64(len(orderQ)))
-		orderPeak.SetMax(int64(len(orderQ)))
-
-		if opts.CheckpointPath != "" && (resumedTotal+foldedThisRun)%every == 0 {
-			if err := writeCheckpointFile(opts.CheckpointPath, ckptAnalysis,
-				st.Config.Seed, st.Config.checkpointHash(), encodeFoldPayload(fs.snapshot())); err != nil {
-				ckptErr = err
-				aborted = true
-				stop()
-				continue
+		batch := make([]scanned, 0, foldBatch)
+		// Records the resume checkpoint already covers are fetched (the
+		// virtual clock and the shortener hit counters must advance exactly
+		// as in the original run) but never scanned or folded.
+		sink := func(rec *crawler.Record) error {
+			if halted.Load() {
+				return errStreamStopped
 			}
-			an.Metrics.Counter("stream.checkpoint.writes").Inc()
+			if rec.Seq < startAt[ei] {
+				an.Metrics.Counter("stream.skipped").Inc()
+				return nil
+			}
+			batch = append(batch, scanned{rec: *rec})
+			s := &batch[len(batch)-1]
+			s.o = an.scanOne(cache, names[ei], &s.rec)
+			if len(batch) < foldBatch {
+				return nil
+			}
+			err := fold(ei, batch)
+			batch = batch[:0]
+			return err
 		}
-		if opts.AbortAfter > 0 && foldedThisRun >= opts.AbortAfter {
-			aborted = true
-			stop()
+		_, _, err := crawler.CrawlExchangeStream(st.Exchanges[ei], transport,
+			crawler.ExchangeOptions(base, ei, st.Steps[ei]), sink)
+		if err == nil && len(batch) > 0 {
+			err = fold(ei, batch)
 		}
-	}
-	crawlErr := <-crawlDone
-	workerWG.Wait()
-	stop() // release the stop channel in every exit path
+		if err != nil && !errors.Is(err, errStreamStopped) {
+			crawlErrs[ei] = err
+			halted.Store(true)
+		}
+	})
 
 	if ckptErr != nil {
 		return ckptErr
 	}
-	if opts.AbortAfter > 0 && aborted {
+	if aborted {
 		return fmt.Errorf("%w after %d records (checkpoint: %s)", ErrAborted, foldedThisRun, opts.CheckpointPath)
 	}
-	if crawlErr != nil {
-		return fmt.Errorf("core: streaming crawl: %w", crawlErr)
+	if err := errors.Join(crawlErrs...); err != nil {
+		return fmt.Errorf("core: streaming crawl: %w", err)
 	}
 
 	cstats := CacheStats{}
@@ -276,12 +244,6 @@ func (st *Study) RunStream(opts StreamOptions) error {
 	}
 	an.Metrics.Counter("pipeline.cache.hits").Add(int64(cstats.Hits))
 	an.Metrics.Counter("pipeline.cache.misses").Add(int64(cstats.Misses))
-	// One aggregate-stage span per exchange, mirroring the batch path's
-	// span counts (the fold work itself is interleaved and unattributable
-	// to a single exchange-scoped interval).
-	for _, name := range names {
-		an.Tracer.Start(name, obs.StageAggregate).End()
-	}
 	st.Config.Metrics.Histogram("study.stream_seconds").Observe(time.Since(start).Seconds())
 
 	st.Analysis = fs.finish(cstats)

@@ -69,23 +69,67 @@ func TestStreamMatchesBatch(t *testing.T) {
 	}
 }
 
-// TestStreamSmallWindow runs the pipeline through a pathologically small
-// window so full-channel backpressure paths are exercised; output must
-// still match the unconstrained run.
-func TestStreamSmallWindow(t *testing.T) {
+// TestStreamSchedulingInvariance pins the engine's scheduling freedom
+// with a checkpoint written after every folded record: exchanges run one
+// at a time (Workers 1), two pipelines contending for the fold lock (2)
+// and more workers than exchanges (16) must all produce the same
+// Analysis. At each worker count a kill landing in the middle of a fold
+// batch — later records of the batch scanned but never folded — must
+// resume to that same Analysis.
+func TestStreamSchedulingInvariance(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	cfg := streamConfig(2, 4, "flaky")
-	ref, err := RunStudyStream(cfg, StreamOptions{})
-	if err != nil {
-		t.Fatal(err)
+	var ref *Analysis
+	for _, workers := range []int{1, 2, 16} {
+		cfg := streamConfig(2, workers, "flaky")
+		ckpt := filepath.Join(t.TempDir(), "study.ckpt")
+		st, err := RunStudyStream(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 1})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if ref == nil {
+			ref = st.Analysis
+		} else if !reflect.DeepEqual(ref, st.Analysis) {
+			t.Errorf("workers=%d: Analysis differs from workers=1", workers)
+		}
+
+		cut := 2*foldBatch + foldBatch/2
+		_, err = RunStudyStream(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 1, AbortAfter: cut})
+		if !errors.Is(err, ErrAborted) {
+			t.Fatalf("workers=%d: aborted run: got %v, want ErrAborted", workers, err)
+		}
+		ck, err := LoadCheckpoint(ckpt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if workers == 1 {
+			// One pipeline at a time: the whole cut lands on the longest
+			// exchange, half way through its third batch.
+			ex := ck.fold.exchanges[longestPlan(st.Steps)]
+			if ex.folded != cut || st.Steps[longestPlan(st.Steps)] < cut+foldBatch {
+				t.Fatalf("kill did not land mid-batch: %s folded %d of %d, cut %d",
+					ex.name, ex.folded, st.Steps[longestPlan(st.Steps)], cut)
+			}
+		}
+		got, err := RunStudyStream(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 1, Resume: ck})
+		if err != nil {
+			t.Fatalf("workers=%d: resumed run: %v", workers, err)
+		}
+		if !reflect.DeepEqual(stripCacheStats(ref), stripCacheStats(got.Analysis)) {
+			t.Errorf("workers=%d: mid-batch kill at record %d + resume: Analysis differs", workers, cut)
+		}
 	}
-	tight, err := RunStudyStream(cfg, StreamOptions{Window: 1})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// longestPlan returns the index of the exchange with the most planned
+// records (the first on ties), which the scheduler starts first.
+func longestPlan(steps []int) int {
+	best := 0
+	for i, n := range steps {
+		if n > steps[best] {
+			best = i
+		}
 	}
-	if !reflect.DeepEqual(ref.Analysis, tight.Analysis) {
-		t.Error("window=1 Analysis differs from default-window run")
-	}
+	return best
 }
 
 // resumeAfterKill aborts a checkpointed streaming run after cut folded

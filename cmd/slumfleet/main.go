@@ -24,10 +24,10 @@
 // Merging validates provenance: shards from a different seed,
 // configuration or partitioning are refused, as is the same shard twice.
 //
-// -epochs N (> 1) runs the fleet longitudinally: every epoch of the
-// churning universe (see slumreport -epochs) is itself a sharded fleet
-// run, with per-epoch shard subdirectories epoch000, epoch001, ...
-// under -shard-dir. -resume, -shards subsets and -merge all operate per
+// -epochs N (> 1; below 1 is an error) runs the fleet longitudinally:
+// every epoch of the churning universe (see slumreport -epochs) is itself
+// a sharded fleet run, with per-epoch shard subdirectories epoch000,
+// epoch001, ... under -shard-dir. -resume, -shards subsets and -merge all operate per
 // epoch inside those subdirectories, and the multi-epoch report is
 // byte-identical to slumreport -epochs for every fleet size. -json does
 // not combine with -epochs > 1.
@@ -85,6 +85,9 @@ func run(args []string, out io.Writer) error {
 
 	if *scale <= 0 {
 		return fmt.Errorf("scale must be positive, got %d", *scale)
+	}
+	if *epochs < 1 {
+		return fmt.Errorf("-epochs must be >= 1, got %d", *epochs)
 	}
 	if *merge && *shardDir == "" {
 		return fmt.Errorf("-merge requires -shard-dir DIR")

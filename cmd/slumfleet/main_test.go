@@ -62,6 +62,11 @@ func TestFlagValidation(t *testing.T) {
 	if err := run([]string{"-scale", "0"}, &buf); err == nil {
 		t.Error("-scale 0 accepted")
 	}
+	for _, n := range []string{"0", "-1"} {
+		if err := run([]string{"-scale", "1500", "-epochs", n}, &buf); err == nil {
+			t.Errorf("-epochs %s accepted", n)
+		}
+	}
 	if err := run([]string{"-shards", "9-1", "-shard-dir", t.TempDir()}, &buf); err == nil {
 		t.Error("backwards -shards range accepted")
 	}

@@ -56,6 +56,8 @@ func TestRunEpochsOneMatchesClassic(t *testing.T) {
 func TestRunEpochsFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-scale", "1500", "-delta-dir", "/tmp/nope"},                   // requires -epochs > 1
+		{"-scale", "1500", "-epochs", "0"},                              // out of range
+		{"-scale", "1500", "-epochs", "-3"},                             // out of range
 		{"-scale", "1500", "-epochs", "2", "-json"},                     // unsupported combo
 		{"-scale", "1500", "-epochs", "2", "-fleet", "2"},               // unsupported combo
 		{"-scale", "1500", "-epochs", "2", "-churn", "1.5"},             // out of range

@@ -39,10 +39,10 @@
 // byte-identical report for every N. For per-shard checkpointing,
 // kill/resume and distributed subsets, use the slumfleet command.
 //
-// -epochs N (> 1) runs a longitudinal study: the same universe advanced
-// through N epochs of deterministic churn (-churn re-registers malicious
-// sites under fresh domains, campaigns cycle rise/burst/takedown,
-// exchanges gain and lose members) against intel that lags ground truth
+// -epochs N (> 1; below 1 is an error) runs a longitudinal study: the
+// same universe advanced through N epochs of deterministic churn (-churn
+// re-registers malicious sites under fresh domains, campaigns cycle
+// rise/burst/takedown, exchanges gain and lose members) against intel that lags ground truth
 // by -blacklist-lag epochs and erodes by -blacklist-decay per epoch of
 // staleness. One report block prints per epoch, followed by the
 // longitudinal time-series sections. -delta-dir DIR enables incremental
@@ -113,6 +113,9 @@ func run(args []string, out io.Writer) error {
 
 	if *scale <= 0 {
 		return fmt.Errorf("scale must be positive, got %d", *scale)
+	}
+	if *epochs < 1 {
+		return fmt.Errorf("-epochs must be >= 1, got %d", *epochs)
 	}
 	if *resume && *ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint FILE")

@@ -367,6 +367,12 @@ func HTML(body string) *Response {
 	return &Response{StatusCode: 200, ContentType: "text/html", Body: []byte(body)}
 }
 
+// HTMLBytes returns a 200 text/html response that takes ownership of
+// body: the caller must not modify it afterwards.
+func HTMLBytes(body []byte) *Response {
+	return &Response{StatusCode: 200, ContentType: "text/html", Body: body}
+}
+
 // Script returns a 200 JavaScript response.
 func Script(body string) *Response {
 	return &Response{StatusCode: 200, ContentType: "application/javascript", Body: []byte(body)}

@@ -4,32 +4,65 @@
 // simrand.Source so that a single seed reproduces an entire experiment
 // bit-for-bit.
 //
-// The package wraps math/rand (stdlib only) and adds weighted choice, Zipf
-// sampling, stable named sub-streams, and a few distribution helpers the
-// workload generators need.
+// A Source's stream is math/rand's seeded stream: New(seed) yields exactly
+// the values rand.New(rand.NewSource(int64(seed))) would, call for call.
+// The package carries its own copy of that generator (rng.go) so the hot
+// draws — Intn, Float64, Word, the token helpers — skip the interface
+// dispatch, and so a Source can be reseeded in place (SubInto). Perm,
+// Shuffle, Norm, Exp and Zipf run math/rand's own code over the copy.
+// TestStreamMatchesMathRand pins the equivalence; any change to the
+// stream changes every golden.
+//
+// On top of that the package adds weighted choice, Zipf sampling, stable
+// named sub-streams, and a few distribution helpers the workload
+// generators need.
 package simrand
 
 import (
 	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 )
 
 // Source is a deterministic random source. It is NOT safe for concurrent
-// use; derive per-goroutine sources with Sub.
+// use; derive per-goroutine sources with Sub. A Source holds its
+// generator by value, so it must not be copied; pass *Source (go vet
+// rejects copies).
 type Source struct {
-	rng  *rand.Rand
+	_    noCopy
+	gen  rngSource
 	seed uint64
+	// std wraps gen for the draws that run math/rand's own code; it is
+	// built on first use and stays valid across SubInto reseeds.
+	std *rand.Rand
 }
+
+// noCopy makes go vet's copylocks check reject copying a Source by value.
+type noCopy struct{}
+
+func (*noCopy) Lock()   {}
+func (*noCopy) Unlock() {}
 
 // New returns a Source seeded with seed.
 func New(seed uint64) *Source {
-	return &Source{
-		rng:  rand.New(rand.NewSource(int64(seed))),
-		seed: seed,
+	s := new(Source)
+	s.reseed(seed)
+	return s
+}
+
+func (s *Source) reseed(seed uint64) {
+	s.gen.Seed(int64(seed))
+	s.seed = seed
+}
+
+// stdRand returns a math/rand view of s's stream.
+func (s *Source) stdRand() *rand.Rand {
+	if s.std == nil {
+		s.std = rand.New(&s.gen)
 	}
+	return s.std
 }
 
 // Seed returns the seed the source was created with.
@@ -42,25 +75,96 @@ func (s *Source) Seed() uint64 { return s.seed }
 // more randomness in one subsystem does not shift another subsystem's
 // stream.
 func (s *Source) Sub(name string) *Source {
-	h := fnv.New64a()
-	var buf [8]byte
+	dst := new(Source)
+	s.SubInto(dst, name)
+	return dst
+}
+
+// SubInto reseeds dst in place to the stream Sub would return for the
+// concatenation of the name parts, without allocating. Passing the name
+// in parts lets a caller name a substream after several strings without
+// building the joined string.
+func (s *Source) SubInto(dst *Source, name ...string) {
+	// FNV-1a (64-bit) over the parent seed's little-endian bytes, then
+	// the name.
+	const (
+		offset64 = 14695981039346656037
+		prime64  = 1099511628211
+	)
+	h := uint64(offset64)
 	for i := 0; i < 8; i++ {
-		buf[i] = byte(s.seed >> (8 * i))
+		h ^= uint64(byte(s.seed >> (8 * i)))
+		h *= prime64
 	}
-	h.Write(buf[:])
-	h.Write([]byte(name))
-	return New(h.Sum64())
+	for _, part := range name {
+		for i := 0; i < len(part); i++ {
+			h ^= uint64(part[i])
+			h *= prime64
+		}
+	}
+	dst.reseed(h)
 }
 
 // Intn returns a uniform int in [0, n). It panics if n <= 0, matching
 // math/rand semantics.
-func (s *Source) Intn(n int) int { return s.rng.Intn(n) }
+func (s *Source) Intn(n int) int {
+	if n <= 0 {
+		panic("invalid argument to Intn")
+	}
+	if n <= 1<<31-1 {
+		return int(s.int31n(int32(n)))
+	}
+	return int(s.int63n(int64(n)))
+}
+
+// int31n is math/rand's Int31n: mask for a power of two, otherwise
+// uint31n.
+func (s *Source) int31n(n int32) int32 {
+	if n&(n-1) == 0 {
+		return int32(s.gen.Int63()>>32) & (n - 1)
+	}
+	return int32(s.uint31n(uint32(n)))
+}
+
+// uint31n is Int31n's rejection rule for n not a power of two: reject
+// draws above the largest multiple of n and reduce. It is small enough to
+// inline, so a constant n turns the bound and the reduction into
+// constants.
+func (s *Source) uint31n(n uint32) uint32 {
+	max := uint32(1<<31 - 1 - (1<<31)%n)
+	for {
+		if v := uint32(s.gen.Uint64()>>32) & (1<<31 - 1); v <= max {
+			return v % n
+		}
+	}
+}
+
+// int63n is math/rand's Int63n.
+func (s *Source) int63n(n int64) int64 {
+	if n&(n-1) == 0 {
+		return s.gen.Int63() & (n - 1)
+	}
+	max := int64((1 << 63) - 1 - (1<<63)%uint64(n))
+	v := s.gen.Int63()
+	for v > max {
+		v = s.gen.Int63()
+	}
+	return v % n
+}
 
 // Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 { return s.rng.Int63() }
+func (s *Source) Int63() int64 { return s.gen.Int63() }
 
-// Float64 returns a uniform float64 in [0, 1).
-func (s *Source) Float64() float64 { return s.rng.Float64() }
+// Float64 returns a uniform float64 in [0, 1), by math/rand's Float64
+// rule (a draw that rounds up to 1 is redrawn).
+func (s *Source) Float64() float64 {
+	for {
+		f := float64(s.gen.Int63()) / (1 << 63)
+		if f < 1 {
+			return f
+		}
+	}
+}
 
 // Bool returns true with probability p.
 func (s *Source) Bool(p float64) bool {
@@ -70,7 +174,7 @@ func (s *Source) Bool(p float64) bool {
 	if p >= 1 {
 		return true
 	}
-	return s.rng.Float64() < p
+	return s.Float64() < p
 }
 
 // Range returns a uniform int in [lo, hi] inclusive. It panics if hi < lo.
@@ -78,18 +182,18 @@ func (s *Source) Range(lo, hi int) int {
 	if hi < lo {
 		panic(fmt.Sprintf("simrand: invalid range [%d, %d]", lo, hi))
 	}
-	return lo + s.rng.Intn(hi-lo+1)
+	return lo + s.Intn(hi-lo+1)
 }
 
 // Norm returns a normally distributed float64 with the given mean and
 // standard deviation.
 func (s *Source) Norm(mean, stddev float64) float64 {
-	return mean + stddev*s.rng.NormFloat64()
+	return mean + stddev*s.stdRand().NormFloat64()
 }
 
 // Exp returns an exponentially distributed float64 with the given mean.
 func (s *Source) Exp(mean float64) float64 {
-	return s.rng.ExpFloat64() * mean
+	return s.stdRand().ExpFloat64() * mean
 }
 
 // Geometric returns a geometrically distributed integer >= 1 with success
@@ -102,7 +206,7 @@ func (s *Source) Geometric(p float64) int {
 	if p == 1 {
 		return 1
 	}
-	u := s.rng.Float64()
+	u := s.Float64()
 	// Inverse CDF: ceil(ln(1-u) / ln(1-p)).
 	n := int(math.Ceil(math.Log(1-u) / math.Log(1-p)))
 	if n < 1 {
@@ -112,10 +216,10 @@ func (s *Source) Geometric(p float64) int {
 }
 
 // Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int { return s.rng.Perm(n) }
+func (s *Source) Perm(n int) []int { return s.stdRand().Perm(n) }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) { s.rng.Shuffle(n, swap) }
+func (s *Source) Shuffle(n int, swap func(i, j int)) { s.stdRand().Shuffle(n, swap) }
 
 // Pick returns a uniformly random element of items. It panics on an empty
 // slice.
@@ -215,7 +319,7 @@ func NewZipf(s *Source, theta float64, n uint64) *Zipf {
 	if n == 0 {
 		panic("simrand: NewZipf with n=0")
 	}
-	z := rand.NewZipf(s.rng, theta, 1, n-1)
+	z := rand.NewZipf(s.stdRand(), theta, 1, n-1)
 	if z == nil {
 		panic(fmt.Sprintf("simrand: invalid zipf params theta=%v n=%d", theta, n))
 	}
@@ -233,47 +337,46 @@ const alphaNum = "abcdefghijklmnopqrstuvwxyz0123456789"
 // maxLen], alternating consonant/vowel clusters. Used for synthetic domain
 // and path names.
 func (s *Source) Word(minLen, maxLen int) string {
+	var buf [16]byte
+	return string(s.AppendWord(buf[:0], minLen, maxLen))
+}
+
+// AppendWord appends a Word(minLen, maxLen) to dst, drawing exactly what
+// Word draws, and returns the extended slice.
+func (s *Source) AppendWord(dst []byte, minLen, maxLen int) []byte {
 	const vowels = "aeiou"
 	const consonants = "bcdfghjklmnpqrstvwxyz"
 	n := s.Range(minLen, maxLen)
-	buf := make([]byte, n)
 	useVowel := s.Bool(0.4)
-	for i := 0; i < n; i++ {
+	dst = slices.Grow(dst, n)
+	word := dst[len(dst) : len(dst)+n]
+	for i := range word {
 		if useVowel {
-			buf[i] = vowels[s.Intn(len(vowels))]
+			word[i] = vowels[s.uint31n(uint32(len(vowels)))]
 		} else {
-			buf[i] = consonants[s.Intn(len(consonants))]
+			word[i] = consonants[s.uint31n(uint32(len(consonants)))]
 		}
 		useVowel = !useVowel
 	}
-	return string(buf)
+	return dst[:len(dst)+n]
 }
 
 // Token returns a random lowercase alphanumeric token of length n, like
 // the opaque IDs shorteners and ad trackers use.
-func (s *Source) Token(n int) string {
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = alphaNum[s.Intn(len(alphaNum))]
-	}
-	return string(buf)
-}
+func (s *Source) Token(n int) string { return s.token(alphaNum, n) }
 
 // LowerToken returns a random lowercase alphabetic token of length n.
-func (s *Source) LowerToken(n int) string {
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = lowerAlpha[s.Intn(len(lowerAlpha))]
-	}
-	return string(buf)
-}
+func (s *Source) LowerToken(n int) string { return s.token(lowerAlpha, n) }
 
 // HexToken returns a random lowercase hex string of length n.
-func (s *Source) HexToken(n int) string {
-	const hexDigits = "0123456789abcdef"
-	buf := make([]byte, n)
-	for i := range buf {
-		buf[i] = hexDigits[s.Intn(len(hexDigits))]
+func (s *Source) HexToken(n int) string { return s.token("0123456789abcdef", n) }
+
+// token draws n characters uniformly from alphabet.
+func (s *Source) token(alphabet string, n int) string {
+	var arr [32]byte
+	buf := arr[:0]
+	for i := 0; i < n; i++ {
+		buf = append(buf, alphabet[s.int31n(int32(len(alphabet)))])
 	}
 	return string(buf)
 }

@@ -298,17 +298,20 @@ func (u *Universe) addSite(s *Site) {
 	u.siteByDomain[urlutil.RegisteredDomain(s.Host)] = s
 }
 
-// pageCache memoizes a site's rendered responses. Every handler derives a
-// fresh per-(host, path) rng per request, so a response is a pure function
+// pageCache memoizes a site's rendered responses. Every render reseeds the
+// page's own per-(host, path) substream, so a response is a pure function
 // of (site, path, bot-variant): the first render's bytes are every
-// render's bytes. Rendering — rng seeding, word generation, string
-// building — dominated the whole pipeline's CPU and allocation profile
+// render's bytes. Rendering — rng seeding, word generation, page
+// assembly — dominated the whole pipeline's CPU and allocation profile
 // before memoization; a cache hit is two map probes and one small struct
-// copy. The cache stores immutable templates and hands each request a
-// fresh shallow copy, because the transport stamps per-request fields
-// (Latency, default ContentType) onto the returned struct; bodies are
-// shared, which is safe — nothing in the stack mutates body bytes (the
-// fault injector degrades a copy and truncates by reslicing).
+// copy. A miss (renderPage) assembles the page in pooled scratch and
+// hands out a private, exact-size body, so what the cache keeps is never
+// larger than the page and every body is its own array. The cache stores
+// immutable templates and hands each request a fresh shallow copy,
+// because the transport stamps per-request fields (Latency, default
+// ContentType) onto the returned struct; bodies are shared, which is
+// safe — nothing in the stack mutates body bytes (the fault injector
+// degrades a copy and truncates by reslicing).
 type pageCache struct {
 	limit int
 	// stats aggregates traffic into the owning RenderCache's counters;
@@ -375,7 +378,7 @@ func (u *Universe) registerSiteHandlers(rng *simrand.Source, ctx renderCtx) {
 			return u.serveSite(s, req, rng, ctx, bridges, cache)
 		})
 		if s.Kind == Redirector {
-			u.registerLandingHost(s, rng, ctx)
+			u.registerLandingHost(s, ctx)
 		}
 	}
 }
@@ -396,27 +399,41 @@ func (u *Universe) serveSite(s *Site, req *httpsim.Request, rng *simrand.Source,
 	}
 	bot := s.Cloaked && looksLikeScannerBot(req.UserAgent)
 	return cache.serve(path, bot, func() *httpsim.Response {
-		// Deterministic per-page randomness, independent of request order.
-		pageRng := rng.Sub("page:" + s.Host + path)
-		if bot {
-			return httpsim.HTML(cleanVariant(s, path, pageRng))
-		}
-		switch s.Kind {
-		case Benign:
-			return httpsim.HTML(renderBenignPage(s, path, pageRng))
-		case Blacklisted:
-			return httpsim.HTML(renderBlacklistedPage(s, path, pageRng, ctx))
-		case MaliciousJS:
-			return httpsim.HTML(renderJSMalwarePage(s, path, pageRng, ctx))
-		case MaliciousFlash:
-			return httpsim.HTML(renderFlashMalwarePage(s, path, pageRng, ctx))
-		case Miscellaneous, ShortenedMalicious:
-			return httpsim.HTML(renderMiscMalwarePage(s, path, pageRng))
-		case Redirector:
-			return u.serveRedirectorHop(s, bridges, pageRng)
-		}
-		return httpsim.NotFound()
+		return u.renderPage(s, path, bot, rng, ctx, bridges)
 	})
+}
+
+// renderPage renders the response s serves at path on a cache miss — the
+// clean variant when bot — from the page's own substream of rng.
+func (u *Universe) renderPage(s *Site, path string, bot bool, rng *simrand.Source, ctx renderCtx, bridges []string) *httpsim.Response {
+	sc := scratchPool.Get().(*renderScratch)
+	defer scratchPool.Put(sc)
+	// Deterministic per-page randomness, independent of request order.
+	pageRng := &sc.rng
+	rng.SubInto(pageRng, "page:", s.Host, path)
+	page := sc.buf[:0]
+	switch {
+	case bot:
+		page = appendCleanVariant(page, s, path, pageRng)
+	case s.Kind == Benign:
+		page = appendBenignPage(page, s, path, pageRng)
+	case s.Kind == Blacklisted:
+		page = appendBlacklistedPage(page, s, path, pageRng, ctx)
+	case s.Kind == MaliciousJS:
+		page = appendJSMalwarePage(page, s, path, pageRng, ctx)
+	case s.Kind == MaliciousFlash:
+		page = appendFlashMalwarePage(page, s, path, pageRng, ctx)
+	case s.Kind == Miscellaneous, s.Kind == ShortenedMalicious:
+		page = appendMiscMalwarePage(page, s, path, pageRng)
+	case s.Kind == Redirector:
+		return u.serveRedirectorHop(s, bridges, pageRng)
+	default:
+		return httpsim.NotFound()
+	}
+	sc.buf = page
+	body := make([]byte, len(page))
+	copy(body, page)
+	return httpsim.HTMLBytes(body)
 }
 
 // serveRedirectorHop begins the site's redirect chain: the entry 302s to
@@ -449,15 +466,15 @@ func landingHostForHost(host string) string {
 	return "land-" + strings.ReplaceAll(host, ".", "-") + ".net"
 }
 
-func (u *Universe) registerLandingHost(s *Site, rng *simrand.Source, ctx renderCtx) {
+func (u *Universe) registerLandingHost(s *Site, ctx renderCtx) {
 	host := landingHostFor(s)
-	// The landing page ignores the request entirely, so one cache slot
-	// serves every path; a fresh per-render substream keeps the render a
-	// pure function of the host, reusable across epochs like any page.
+	// The landing page ignores the request entirely and draws nothing, so
+	// one cache slot serves every path; the render is a pure function of
+	// the host, reusable across epochs like any page.
 	cache := u.renders.site(host)
 	u.Internet.Register(host, func(req *httpsim.Request) *httpsim.Response {
 		return cache.serve("/", false, func() *httpsim.Response {
-			return httpsim.HTML(renderLandingPage(s, rng.Sub("landing:"+host), ctx))
+			return httpsim.HTML(renderLandingPage(s, ctx))
 		})
 	})
 	u.truthByDomain[urlutil.RegisteredDomain(host)] = Redirector

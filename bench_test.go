@@ -37,11 +37,15 @@ import (
 const benchScale = 400
 
 var (
-	studyOnce sync.Once
-	study     *core.Study
-	studyErr  error
+	studyOnce   sync.Once
+	study       *core.Study
+	studyCrawls []*crawler.Crawl
+	studyErr    error
 )
 
+// benchStudy crawls the shared study into memory (Study.Crawl) and
+// analyzes the crawls once; the analysis benchmarks re-run Analyze over
+// studyCrawls.
 func benchStudy(b *testing.B) *core.Study {
 	b.Helper()
 	studyOnce.Do(func() {
@@ -50,7 +54,12 @@ func benchStudy(b *testing.B) *core.Study {
 		cfg.Scale = benchScale
 		cfg.MinMalPerPool = 14
 		cfg.MinBenignPerPool = 25
-		study, studyErr = core.RunStudy(cfg)
+		if study, studyErr = core.NewStudy(cfg); studyErr != nil {
+			return
+		}
+		if studyCrawls, studyErr = study.Crawl(); studyErr == nil {
+			study.Analysis = study.Analyzer.Analyze(studyCrawls)
+		}
 	})
 	if studyErr != nil {
 		b.Fatal(studyErr)
@@ -67,14 +76,15 @@ func BenchmarkTable1(b *testing.B) {
 	b.ResetTimer()
 	var a *core.Analysis
 	for i := 0; i < b.N; i++ {
-		a = st.Analyzer.Analyze(st.Crawls)
+		a = st.Analyzer.Analyze(studyCrawls)
 		_ = report.Table1(a)
 	}
 	b.ReportMetric(a.OverallPctMalicious()*100, "%malicious")
 }
 
-// BenchmarkAnalyzeParallel measures the sharded analysis pipeline across
-// worker counts with the verdict cache on and off. The cache hit rate is
+// BenchmarkAnalyzeParallel measures Analyze over in-memory crawls across
+// worker counts (exchanges scanned at once) with the verdict cache on and
+// off. The cache hit rate is
 // reported as a custom metric; rotation re-surfs the same entry URLs, so
 // a healthy run shows a substantial %cache-hit.
 func BenchmarkAnalyzeParallel(b *testing.B) {
@@ -97,7 +107,7 @@ func BenchmarkAnalyzeParallel(b *testing.B) {
 				b.ResetTimer()
 				var a *core.Analysis
 				for i := 0; i < b.N; i++ {
-					a = an.Analyze(st.Crawls)
+					a = an.Analyze(studyCrawls)
 				}
 				b.ReportMetric(a.CacheStats.HitRate()*100, "%cache-hit")
 			})
@@ -312,7 +322,7 @@ func BenchmarkAblationCloaking(b *testing.B) {
 			b.ResetTimer()
 			var a *core.Analysis
 			for i := 0; i < b.N; i++ {
-				a = an.Analyze(st.Crawls)
+				a = an.Analyze(studyCrawls)
 			}
 			b.ReportMetric(float64(a.TotalMalicious), "detected")
 		})
@@ -437,8 +447,9 @@ func BenchmarkAblationNesting(b *testing.B) {
 // 200k URLs). The custom alloc-B/record metric is the regression guard
 // for the streaming memory model: it must stay roughly flat as the
 // record count quadruples — allocation proportional to the stream, with
-// no O(total-URLs) resident set. Compare with the batch path, whose
-// per-record cost grows with retained records, HAR logs and verdicts.
+// no O(total-URLs) resident set. Compare with Study.Crawl + Analyze,
+// whose per-record cost grows with retained records, HAR logs and
+// verdicts.
 func BenchmarkStreamingStudy(b *testing.B) {
 	for _, scale := range []int{20, 10, 5} {
 		b.Run(fmt.Sprintf("scale-%d", scale), func(b *testing.B) {
@@ -453,7 +464,7 @@ func BenchmarkStreamingStudy(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				cfg.Seed = uint64(i) + 1
-				st, err := core.RunStudyStream(cfg, core.StreamOptions{})
+				st, err := core.RunStudy(cfg, core.StreamOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -693,7 +704,7 @@ func BenchmarkFullStudy(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		cfg.Seed = uint64(i) + 1
-		if _, err := core.RunStudy(cfg); err != nil {
+		if _, err := core.RunStudy(cfg, core.StreamOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -13,14 +13,16 @@
 // fetches are persisted as records with fetchErr/errKind set, so slumscan
 // reports crawl health for the dataset.
 //
-// -stream writes records straight to per-exchange spill files as they are
-// crawled instead of accumulating the whole dataset in memory; on
-// completion the spills concatenate into -out, byte-identical to a batch
-// run's dataset. -checkpoint FILE (implies -stream) records per-exchange
-// progress every -checkpoint-every records; after a kill, rerunning with
-// -resume truncates the spills back to the checkpoint and continues. The
-// checkpoint is deleted on completion. -hardir requires the batch path
-// (HAR archives accumulate whole crawls by construction).
+// Without -stream the whole crawl is held in memory (HAR archives need
+// it) and written to -out once it completes; no analysis runs. -stream
+// writes records straight to per-exchange spill files as they are crawled
+// instead; on completion the spills concatenate into -out, byte-identical
+// to the in-memory path's dataset. -checkpoint FILE (implies -stream)
+// records per-exchange progress every -checkpoint-every records; after a
+// kill, rerunning with -resume truncates the spills back to the
+// checkpoint and continues. The checkpoint is deleted on completion.
+// -hardir requires the in-memory path (HAR archives accumulate whole
+// crawls by construction).
 package main
 
 import (
@@ -49,7 +51,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("slumcrawl", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	scale := fs.Int("scale", 20, "divide paper crawl volumes by this factor")
-	workers := fs.Int("workers", 0, "analysis worker pool size (0 = all CPUs)")
 	faults := fs.String("faults", "", "crawl fault profile: "+strings.Join(httpsim.ProfileNames(), ", "))
 	retries := fs.Int("retries", 2, "crawl retries per URL after the first attempt")
 	out := fs.String("out", "dataset.jsonl", "output dataset path")
@@ -69,12 +70,20 @@ func run(args []string) error {
 		return fmt.Errorf("-resume requires -checkpoint FILE")
 	}
 	if useStream && *harDir != "" {
-		return fmt.Errorf("-hardir requires the batch path (drop -stream/-checkpoint)")
+		return fmt.Errorf("-hardir requires the in-memory path (drop -stream/-checkpoint)")
+	}
+	var f *os.File
+	if !useStream {
+		// Fail on an unwritable -out before the crawl, not after it.
+		var err error
+		if f, err = os.Create(*out); err != nil {
+			return err
+		}
+		defer f.Close()
 	}
 	cfg := core.DefaultStudyConfig()
 	cfg.Seed = *seed
 	cfg.Scale = *scale
-	cfg.Workers = *workers
 	cfg.FaultProfile = *faults
 	cfg.Retries = *retries
 	if *withMetrics {
@@ -113,20 +122,15 @@ func run(args []string) error {
 		return nil
 	}
 
-	if err := st.Run(); err != nil {
-		return err
-	}
-
-	f, err := os.Create(*out)
+	crawls, err := st.Crawl()
 	if err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := core.WriteDataset(f, st.Crawls); err != nil {
+	if err := core.WriteDataset(f, crawls); err != nil {
 		return err
 	}
 	total, failed := 0, 0
-	for _, c := range st.Crawls {
+	for _, c := range crawls {
 		total += len(c.Records)
 		for i := range c.Records {
 			if c.Records[i].FetchErr != "" {
@@ -140,7 +144,7 @@ func run(args []string) error {
 		if err := os.MkdirAll(*harDir, 0o755); err != nil {
 			return err
 		}
-		for _, c := range st.Crawls {
+		for _, c := range crawls {
 			if c.HAR == nil {
 				continue
 			}

@@ -4,6 +4,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 func TestCrawlAndArtifacts(t *testing.T) {
@@ -23,9 +24,15 @@ func TestCrawlAndArtifacts(t *testing.T) {
 	}
 }
 
+// TestBadOutputPath: an unwritable -out fails before the crawl starts,
+// so even a paper-scale invocation returns at once.
 func TestBadOutputPath(t *testing.T) {
-	if err := run([]string{"-scale", "900", "-out", "/nonexistent-dir/x/ds.jsonl"}); err == nil {
+	start := time.Now()
+	if err := run([]string{"-scale", "1", "-out", "/nonexistent-dir/x/ds.jsonl"}); err == nil {
 		t.Fatal("unwritable output accepted")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("unwritable output reported after %v, want it before the crawl", d)
 	}
 }
 

@@ -11,9 +11,8 @@
 // With no -table/-figure selection, everything is printed. -scale divides
 // the paper's crawl volumes (default 20: ~50k URLs, seconds of runtime;
 // -scale 1 replays the full 1,003,087-URL crawl). -workers bounds the
-// analysis pipeline's detection pool (default: all CPUs), and with
-// -stream the number of exchange pipelines run at once; the output is
-// identical for every worker count. -faults injects deterministic
+// number of exchange pipelines run at once (default: all CPUs); the
+// output is identical for every worker count. -faults injects deterministic
 // transport faults into the crawl (off, flaky, lossy, slow, hostile) and
 // -retries bounds the crawler's per-URL retry budget; the crawl-health
 // section reports the resulting fetch outcomes and error taxonomy.
@@ -22,22 +21,25 @@
 // with -json the same export lands in a "metrics" block. Output without
 // the flag is byte-identical to an uninstrumented run.
 //
-// -stream runs the crawl and the analysis as one bounded-memory pipeline:
-// each worker crawls, scans and folds whole exchanges, aggregating
-// incrementally, so peak memory no longer grows with the crawl length. The
-// report is byte-identical to the batch path's. -checkpoint FILE (implies
-// -stream) additionally persists the accumulator every -checkpoint-every
-// records; after a crash or kill, rerunning with -resume picks up from
-// the checkpoint and still produces the byte-identical report. The
+// The crawl and the analysis run as one bounded-memory pipeline: each
+// worker crawls, scans and folds whole exchanges, aggregating
+// incrementally, so no crawl is held in memory. -stream names that
+// pipeline; it is accepted for compatibility and changes nothing.
+// -checkpoint FILE additionally persists the accumulator every
+// -checkpoint-every records; after a crash or kill, rerunning with
+// -resume picks up from the checkpoint and still produces the
+// byte-identical report. The
 // checkpoint file is deleted when a run completes, so "-checkpoint f
 // -resume" is safe to use unconditionally: first run starts fresh,
 // interrupted reruns resume, completed runs leave nothing behind.
 //
 // -fleet N runs the study as a sharded fleet instead: the exchanges are
-// partitioned across N virtual workers, each running the streaming
-// pipeline over its shard, and the per-shard results merge into the same
-// byte-identical report for every N. For per-shard checkpointing,
-// kill/resume and distributed subsets, use the slumfleet command.
+// partitioned across N virtual workers, each running the same pipeline
+// over its shard, and the per-shard results merge into the same
+// byte-identical report for every N. -fleet does not combine with the
+// pipeline flags (-stream, -checkpoint, -resume, -abort-after); for
+// per-shard checkpointing, kill/resume and distributed subsets, use the
+// slumfleet command.
 //
 // -epochs N (> 1; below 1 is an error) runs a longitudinal study: the
 // same universe advanced through N epochs of deterministic churn (-churn
@@ -86,7 +88,7 @@ func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("slumreport", flag.ContinueOnError)
 	seed := fs.Uint64("seed", 1, "experiment seed")
 	scale := fs.Int("scale", 20, "divide paper crawl volumes by this factor")
-	workers := fs.Int("workers", 0, "analysis worker pool size; with -stream, concurrent exchange pipelines (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "concurrent exchange pipelines (0 = all CPUs)")
 	faults := fs.String("faults", "", "crawl fault profile: "+strings.Join(httpsim.ProfileNames(), ", "))
 	retries := fs.Int("retries", 2, "crawl retries per URL after the first attempt")
 	jsFuel := fs.Int64("js-fuel", 0, "JS sandbox fuel budget per script (0 = default)")
@@ -95,9 +97,9 @@ func run(args []string, out io.Writer) error {
 	figure := fs.Int("figure", 0, "print only this figure (2, 3, 5, 6, 7)")
 	asJSON := fs.Bool("json", false, "emit every table and figure as JSON")
 	withMetrics := fs.Bool("metrics", false, "instrument the run and append a METRICS section")
-	stream := fs.Bool("stream", false, "run crawl+analysis as one bounded-memory streaming pipeline")
-	ckptPath := fs.String("checkpoint", "", "checkpoint file; enables periodic checkpointing (implies -stream)")
-	resume := fs.Bool("resume", false, "resume from the -checkpoint file when it exists (implies -stream)")
+	stream := fs.Bool("stream", false, "accepted for compatibility: every run is the bounded-memory streaming pipeline")
+	ckptPath := fs.String("checkpoint", "", "checkpoint file; enables periodic checkpointing")
+	resume := fs.Bool("resume", false, "resume from the -checkpoint file when it exists")
 	ckptEvery := fs.Int("checkpoint-every", 5000, "records between checkpoint writes")
 	abortAfter := fs.Int("abort-after", 0, "testing: abort the streaming run after N folded records, as a kill would")
 	fleet := fs.Int("fleet", 0, "run as a sharded fleet of N virtual workers (see slumfleet for checkpointing)")
@@ -120,8 +122,7 @@ func run(args []string, out io.Writer) error {
 	if *resume && *ckptPath == "" {
 		return fmt.Errorf("-resume requires -checkpoint FILE")
 	}
-	useStream := *stream || *ckptPath != "" || *abortAfter > 0
-	if *fleet > 0 && useStream {
+	if *fleet > 0 && (*stream || *ckptPath != "" || *abortAfter > 0) {
 		return fmt.Errorf("-fleet does not combine with -stream/-checkpoint/-resume/-abort-after; use slumfleet for checkpointed fleets")
 	}
 	cfg := core.DefaultStudyConfig()
@@ -160,7 +161,7 @@ func run(args []string, out io.Writer) error {
 	var err error
 	if *fleet > 0 {
 		st, err = core.RunStudyFleet(cfg, core.FleetOptions{Fleet: *fleet})
-	} else if useStream {
+	} else {
 		sopts := core.StreamOptions{CheckpointPath: *ckptPath, CheckpointEvery: *ckptEvery, AbortAfter: *abortAfter}
 		if *resume {
 			ck, lerr := core.LoadCheckpoint(*ckptPath)
@@ -174,9 +175,7 @@ func run(args []string, out io.Writer) error {
 				return lerr
 			}
 		}
-		st, err = core.RunStudyStream(cfg, sopts)
-	} else {
-		st, err = core.RunStudy(cfg)
+		st, err = core.RunStudy(cfg, sopts)
 	}
 	if err != nil {
 		return err

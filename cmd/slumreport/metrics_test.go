@@ -36,12 +36,12 @@ func TestMetricsAdditive(t *testing.T) {
 	}
 }
 
-// metricsJSON runs the golden configuration with -json -metrics at the
-// given worker count (plus any extra flags) and returns the decoded
-// metrics block and the per-exchange crawled counts from Table I.
-func metricsJSON(t *testing.T, workers string, extra ...string) (map[string]any, map[string]int) {
+// metricsJSON runs the golden configuration with -json -metrics plus the
+// given flags and returns the decoded metrics block and the per-exchange
+// crawled counts from Table I.
+func metricsJSON(t *testing.T, flags ...string) (map[string]any, map[string]int) {
 	t.Helper()
-	raw := captureReport(t, append([]string{"-json", "-metrics", "-workers", workers}, extra...)...)
+	raw := captureReport(t, append([]string{"-json", "-metrics"}, flags...)...)
 	var rep struct {
 		Table1 []struct {
 			Name    string `json:"name"`
@@ -95,17 +95,21 @@ func stageCounts(t *testing.T, metrics map[string]any) map[string]float64 {
 }
 
 // TestMetricsCounterWorkerInvariance asserts the determinism contract for
-// count-valued metrics: on the batch path and on -stream, every counter
-// and every stage count must be exactly identical across worker counts
-// {1, 2, 8}, while timing-valued metrics (gauges, histograms, stage
-// latencies) are excluded from the comparison.
+// count-valued metrics: every counter and every stage count must be
+// exactly identical across worker counts {1, 2, 8} on the default path
+// (plus a run with -stream, which is accepted and changes nothing) and
+// across fleet sizes {1, 2, 4} with -fleet, while timing-valued metrics
+// (gauges, histograms, stage latencies) are excluded from the comparison.
 func TestMetricsCounterWorkerInvariance(t *testing.T) {
 	for _, mode := range []struct {
-		name  string
-		extra []string
-	}{{"batch", nil}, {"stream", []string{"-stream"}}} {
+		name string
+		runs [][]string // flags per run; the first run is the baseline
+	}{
+		{"default", [][]string{{"-workers", "1"}, {"-workers", "2"}, {"-workers", "8"}, {"-workers", "2", "-stream"}}},
+		{"fleet", [][]string{{"-fleet", "1"}, {"-fleet", "2"}, {"-fleet", "4"}}},
+	} {
 		t.Run(mode.name, func(t *testing.T) {
-			base, crawled := metricsJSON(t, "1", mode.extra...)
+			base, crawled := metricsJSON(t, mode.runs[0]...)
 			baseCounters := counterValues(t, base)
 			baseStages := stageCounts(t, base)
 
@@ -113,7 +117,7 @@ func TestMetricsCounterWorkerInvariance(t *testing.T) {
 			// empty map comparing equal to an empty map would be a vacuous
 			// pass.
 			for _, name := range []string{
-				"pipeline.cache.hits", "pipeline.cache.misses", "pipeline.inspections",
+				"pipeline.records", "pipeline.cache.hits", "pipeline.cache.misses", "pipeline.inspections",
 				"pipeline.classified.regular", "pipeline.malicious",
 				"crawl.urls", "crawl.fetched", "crawl.fetch_attempts", "scanner.scans.file",
 			} {
@@ -121,27 +125,28 @@ func TestMetricsCounterWorkerInvariance(t *testing.T) {
 					t.Errorf("counter %s = %v, want > 0", name, baseCounters[name])
 				}
 			}
-			if mode.name == "stream" {
-				// The stream path folds each exchange in batches of 64
-				// records, one aggregate span per batch.
-				for name, n := range crawled {
-					if got, want := baseStages[name+"/aggregate"], float64((n+63)/64); got != want {
-						t.Errorf("%s: %v aggregate spans for %d records, want %v", name, got, n, want)
-					}
+			// Every engine folds each exchange in batches of 64 records,
+			// one aggregate span per batch.
+			total := 0
+			for name, n := range crawled {
+				total += n
+				if got, want := baseStages[name+"/aggregate"], float64((n+63)/64); got != want {
+					t.Errorf("%s: %v aggregate spans for %d records, want %v", name, got, n, want)
 				}
-			} else if baseCounters["pipeline.records"] <= 0 {
-				t.Errorf("counter pipeline.records = %v, want > 0", baseCounters["pipeline.records"])
+			}
+			if got := baseCounters["pipeline.records"]; got != float64(total) {
+				t.Errorf("pipeline.records = %v, want the %d crawled records", got, total)
 			}
 
-			for _, workers := range []string{"2", "8"} {
-				m, _ := metricsJSON(t, workers, mode.extra...)
+			for _, flags := range mode.runs[1:] {
+				m, _ := metricsJSON(t, flags...)
 				if got := counterValues(t, m); !reflect.DeepEqual(got, baseCounters) {
-					t.Errorf("-workers %s counters differ from -workers 1:\n got %v\nwant %v",
-						workers, got, baseCounters)
+					t.Errorf("%v counters differ from %v:\n got %v\nwant %v",
+						flags, mode.runs[0], got, baseCounters)
 				}
 				if got := stageCounts(t, m); !reflect.DeepEqual(got, baseStages) {
-					t.Errorf("-workers %s stage counts differ from -workers 1:\n got %v\nwant %v",
-						workers, got, baseStages)
+					t.Errorf("%v stage counts differ from %v:\n got %v\nwant %v",
+						flags, mode.runs[0], got, baseStages)
 				}
 			}
 		})

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -23,6 +24,7 @@ import (
 	"repro/internal/har"
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/shortener"
 )
 
 // loadHARCrawls reconstructs crawls from a directory of per-exchange HAR
@@ -61,19 +63,19 @@ func loadHARCrawls(dir string) ([]*crawler.Crawl, error) {
 }
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "slumscan:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("slumscan", flag.ContinueOnError)
 	in := fs.String("in", "dataset.jsonl", "input dataset path (JSONL)")
 	harDir := fs.String("hardir", "", "analyze HAR archives from this directory instead of -in")
 	seed := fs.Uint64("seed", 1, "seed the dataset was crawled with")
 	scale := fs.Int("scale", 20, "scale the dataset was crawled with")
-	workers := fs.Int("workers", 0, "analysis worker pool size (0 = all CPUs)")
+	workers := fs.Int("workers", 0, "exchanges analyzed at once (0 = all CPUs)")
 	jsFuel := fs.Int64("js-fuel", 0, "JS sandbox fuel budget per script (0 = default)")
 	jsHeap := fs.Int64("js-heap", 0, "JS sandbox heap budget in bytes per script (0 = default)")
 	table := fs.Int("table", 0, "print only this table (1-4)")
@@ -119,15 +121,39 @@ func run(args []string) error {
 	}
 	a := st.Analyzer.Analyze(crawls)
 
-	sections := []struct {
-		table, figure int
-		render        func() string
-	}{
+	selected := *table != 0 || *figure != 0
+	printed := false
+	for _, s := range sections(a, st.Universe.Shorteners) {
+		if selected && (s.table != *table || s.figure != *figure) {
+			continue
+		}
+		fmt.Fprintln(out, s.render())
+		printed = true
+	}
+	if !printed {
+		return fmt.Errorf("nothing matches -table %d -figure %d", *table, *figure)
+	}
+	if *withMetrics {
+		fmt.Fprintln(out, report.MetricsReport(obs.NewExport(cfg.Metrics, cfg.Tracer)))
+	}
+	return nil
+}
+
+// section is one report block, selected by its -table or -figure number.
+type section struct {
+	table, figure int
+	render        func() string
+}
+
+// sections lists the report blocks in print order; Table IV joins the
+// analysis with reg's hit statistics.
+func sections(a *core.Analysis, reg *shortener.Registry) []section {
+	return []section{
 		{0, 0, func() string { return report.Headline(a) }},
 		{1, 0, func() string { return report.Table1(a) }},
 		{2, 0, func() string { return report.Table2(a) }},
 		{3, 0, func() string { return report.Table3(a) }},
-		{4, 0, func() string { return report.Table4(a.ShortURLStats(st.Universe.Shorteners)) }},
+		{4, 0, func() string { return report.Table4(a.ShortURLStats(reg)) }},
 		{0, 2, func() string { return report.Figure2(a) }},
 		{0, 3, func() string { return report.Figure3(a) }},
 		{0, 5, func() string { return report.Figure5(a) }},
@@ -138,20 +164,4 @@ func run(args []string) error {
 		// (slumcrawl -faults), so slumscan needs no fault flags of its own.
 		{0, 0, func() string { return report.CrawlHealthReport(a) }},
 	}
-	selected := *table != 0 || *figure != 0
-	printed := false
-	for _, s := range sections {
-		if selected && (s.table != *table || s.figure != *figure) {
-			continue
-		}
-		fmt.Println(s.render())
-		printed = true
-	}
-	if !printed {
-		return fmt.Errorf("nothing matches -table %d -figure %d", *table, *figure)
-	}
-	if *withMetrics {
-		fmt.Println(report.MetricsReport(obs.NewExport(cfg.Metrics, cfg.Tracer)))
-	}
-	return nil
 }

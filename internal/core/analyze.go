@@ -3,6 +3,7 @@ package core
 import (
 	"sort"
 	"strings"
+	"sync"
 
 	"repro/internal/crawler"
 	"repro/internal/exchange"
@@ -115,9 +116,9 @@ type Analysis struct {
 	// deduped, for the Table IV statistics join.
 	MaliciousShortURLs []string
 	// Verdicts holds the per-record verdicts, aligned with the input
-	// record stream per exchange. Populated by the batch Analyze path;
-	// streaming runs (Study.RunStream) leave it empty — retaining every
-	// verdict would defeat the bounded-memory contract.
+	// record stream per exchange. Populated by Analyze over in-memory
+	// crawls; live runs (RunStream, RunFleet) leave it empty — retaining
+	// every verdict would defeat the bounded-memory contract.
 	Verdicts map[string][]Verdict
 	// CacheStats reports verdict-cache effectiveness for this run (zero
 	// when the cache was disabled). Deterministic across worker counts
@@ -148,20 +149,21 @@ func (a *Analysis) OverallPctMalicious() float64 {
 }
 
 // Analyzer runs classification + detection + aggregation over crawls.
-// Detection fans out over a bounded worker pool (see pipeline.go); the
-// aggregation fold always runs sequentially in record order, so the output
-// is byte-identical for every worker count and cache setting.
+// The study engine (see pipeline.go) runs up to Workers exchanges at
+// once; each exchange folds in record order, so the output is
+// byte-identical for every worker count and cache setting.
 type Analyzer struct {
 	Classifier *Classifier
 	Detector   *Detector
-	// Workers bounds the detection pool; <= 0 means runtime.GOMAXPROCS(0).
+	// Workers bounds how many exchanges are scanned at once; <= 0 means
+	// runtime.GOMAXPROCS(0).
 	Workers int
 	// DisableCache turns off the single-flight verdict cache, forcing
 	// every record through the full detector stack (the pre-cache
 	// behaviour; useful for ablations and benchmarks).
 	DisableCache bool
 	// Metrics, when set, receives pipeline counters (records by class,
-	// cache traffic, inspections) and worker-occupancy gauges; Tracer
+	// cache traffic, inspections) and the configured-workers gauge; Tracer
 	// receives per-exchange classify/scan/parse/aggregate stage timings.
 	// Both are nil-safe no-ops when unset and never alter any output.
 	Metrics *obs.Registry
@@ -180,22 +182,23 @@ type exchangeFold struct {
 	// domains / malDomains back the Table II distinct-domain columns.
 	domains    map[string]bool
 	malDomains map[string]bool
-	// verdicts is retained only when the fold keeps verdicts (batch path).
+	// verdicts is retained only when the fold keeps verdicts (Analyze).
 	verdicts []Verdict
 	// folded counts records folded so far — the exchange's streaming
 	// progress cursor (records [0, folded) are reflected in this state).
 	folded int
 }
 
-// foldState is the incremental aggregation accumulator shared by the
-// batch Analyze path and the streaming pipeline (stream.go). Records fold
+// foldState is the incremental aggregation accumulator every engine
+// caller folds into (Analyze, RunStream, RunFleet's shards). Records fold
 // one at a time, in per-exchange record order; cross-exchange interleaving
 // is free because every global aggregate (counters, histograms, sets,
 // sums) is commutative and rendered in sorted order. Peak memory is
 // O(distinct URLs + domains + series length), never O(bodies) — a folded
 // record's body is released as soon as fold returns.
 //
-// Not safe for concurrent use: exactly one goroutine owns a foldState.
+// Not safe for concurrent use: callers that share one foldState across
+// exchanges serialize their folds under the engine's fold lock.
 type foldState struct {
 	an        *Analyzer
 	exchanges []*exchangeFold
@@ -224,8 +227,8 @@ type bodyIdentity struct {
 }
 
 // newFoldState builds an empty accumulator for the named exchanges, in
-// crawl order. keepVerdicts retains per-record verdicts (the batch
-// contract); streaming passes false to stay bounded.
+// crawl order. keepVerdicts retains per-record verdicts (Analyze's
+// contract); live runs pass false to stay bounded.
 func newFoldState(an *Analyzer, names []string, kinds []exchange.Kind, keepVerdicts bool) *foldState {
 	fs := &foldState{
 		an: an,
@@ -345,29 +348,40 @@ func distinctKey(rawURL string) string {
 	return key
 }
 
-// Analyze processes all crawls into the full Analysis. Detection runs in
-// parallel; everything order-sensitive — per-exchange verdict slices,
-// counters, series, aggregate folds — happens afterwards in a single
-// sequential pass over the records, in input order.
+// Analyze processes in-memory crawls into the full Analysis through the
+// study engine: up to Workers exchanges run at once, longest first, each
+// scanning its records in order and folding them in batches into one
+// shared accumulator that keeps the per-record verdicts. Parallelism is
+// per exchange, so a single crawl runs on one goroutine. The output is
+// identical for every worker count and cache setting.
 func (an *Analyzer) Analyze(crawls []*crawler.Crawl) *Analysis {
-	outcomes, cstats := an.scanRecords(crawls)
-	an.Metrics.Counter("pipeline.cache.hits").Add(int64(cstats.Hits))
-	an.Metrics.Counter("pipeline.cache.misses").Add(int64(cstats.Misses))
-
 	names := make([]string, len(crawls))
 	kinds := make([]exchange.Kind, len(crawls))
+	plan := make([]int, len(crawls))
 	for i, c := range crawls {
-		names[i], kinds[i] = c.Exchange, c.Kind
+		names[i], kinds[i], plan[i] = c.Exchange, c.Kind, len(c.Records)
 	}
 	fs := newFoldState(an, names, kinds, true)
-	for ci, c := range crawls {
-		agg := an.Tracer.Start(c.Exchange, obs.StageAggregate)
-		for ri := range c.Records {
-			fs.fold(ci, &c.Records[ri], outcomes[ci][ri])
-		}
-		agg.End()
-	}
-	return fs.finish(cstats)
+	var mu sync.Mutex
+	e := newEngine(an, &mu)
+	runLongestFirst(an.workerCount(), plan, func(ci int) {
+		recs := crawls[ci].Records
+		// Nothing in memory can fail or abort, so the run cannot halt.
+		e.run(names[ci], 0, func(sink func(*crawler.Record) error) error {
+			for ri := range recs {
+				if err := sink(&recs[ri]); err != nil {
+					return err
+				}
+			}
+			return nil
+		}, func(batch []scanned) error {
+			for k := range batch {
+				fs.fold(ci, &batch[k].rec, batch[k].o)
+			}
+			return nil
+		})
+	})
+	return fs.finish(e.cacheStats())
 }
 
 // recordMalicious folds one malicious URL into the category/TLD/content

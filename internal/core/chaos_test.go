@@ -248,7 +248,7 @@ func TestChaosSoakFullStudy(t *testing.T) {
 	cfg.Scale = 600
 	cfg.Workers = 8
 	cfg.FaultProfile = "hostile"
-	st, err := RunStudy(cfg)
+	st, err := RunStudy(cfg, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,8 +12,31 @@ import (
 	"repro/internal/web"
 )
 
+// crawledStudy is a study run the reference way: every exchange crawled
+// into memory (Study.Crawl), then Analyzer.Analyze over the crawls. Live
+// engine runs (RunStream, RunFleet) are checked against it.
+type crawledStudy struct {
+	*Study
+	Crawls []*crawler.Crawl
+}
+
+// crawlAndAnalyze builds the study for cfg, crawls it into memory and
+// analyzes the crawls into st.Analysis.
+func crawlAndAnalyze(cfg StudyConfig) (*crawledStudy, error) {
+	st, err := NewStudy(cfg)
+	if err != nil {
+		return nil, err
+	}
+	crawls, err := st.Crawl()
+	if err != nil {
+		return nil, err
+	}
+	st.Analysis = st.Analyzer.Analyze(crawls)
+	return &crawledStudy{st, crawls}, nil
+}
+
 // smallStudy builds a heavily scaled-down study for fast tests.
-func smallStudy(t *testing.T) *Study {
+func smallStudy(t *testing.T) *crawledStudy {
 	t.Helper()
 	cfg := DefaultStudyConfig()
 	cfg.Seed = 5
@@ -22,7 +45,7 @@ func smallStudy(t *testing.T) *Study {
 	// so the TLD/category mixes have enough distinct sites to converge.
 	cfg.MinMalPerPool = 14
 	cfg.MinBenignPerPool = 25
-	st, err := RunStudy(cfg)
+	st, err := crawlAndAnalyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,9 +55,9 @@ func smallStudy(t *testing.T) *Study {
 // studyCache shares one executed small study across tests in this file;
 // building it exercises the full pipeline once (~seconds), asserting it
 // repeatedly is cheap.
-var studyCache *Study
+var studyCache *crawledStudy
 
-func sharedStudy(t *testing.T) *Study {
+func sharedStudy(t *testing.T) *crawledStudy {
 	t.Helper()
 	if studyCache == nil {
 		studyCache = smallStudy(t)
@@ -473,11 +496,11 @@ func TestStudyDeterminism(t *testing.T) {
 	cfg.Seed = 77
 	cfg.Scale = 900
 	cfg.DriveShortenerTraffic = false
-	a, err := RunStudy(cfg)
+	a, err := RunStudy(cfg, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunStudy(cfg)
+	b, err := RunStudy(cfg, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"io"
 	"os"
@@ -57,10 +56,10 @@ type datasetSpill struct {
 // to outPath with bounded memory: each exchange's records spill straight
 // to a per-exchange part file as they are produced, and on completion the
 // parts are concatenated in exchange order — byte-identical to
-// WriteDataset over a batch crawl. With a checkpoint path set, a killed
-// crawl resumes from its last checkpoint: part files are truncated back
-// to the checkpointed offsets and the deterministic crawl replays, re-
-// writing nothing it already persisted.
+// WriteDataset over the same crawl held in memory (Study.Crawl). With a
+// checkpoint path set, a killed crawl resumes from its last checkpoint:
+// part files are truncated back to the checkpointed offsets and the
+// deterministic crawl replays, re-writing nothing it already persisted.
 func (st *Study) StreamDataset(outPath string, opts DatasetStreamOptions) (DatasetStreamResult, error) {
 	var res DatasetStreamResult
 	if st.Config.DriveShortenerTraffic {
@@ -182,7 +181,6 @@ func (st *Study) StreamDataset(outPath string, opts DatasetStreamOptions) (Datas
 			sp.failed++
 		}
 		wroteRun++
-		st.Config.Metrics.Counter("stream.records").Inc()
 		total := 0
 		for _, s := range spills {
 			total += s.records
@@ -200,12 +198,12 @@ func (st *Study) StreamDataset(outPath string, opts DatasetStreamOptions) (Datas
 		return nil
 	}
 
-	if err := crawler.CrawlAllStream(st.Exchanges, st.transport(), st.Steps, st.crawlOptions(), sink); err != nil {
-		return res, firstRealError(err)
+	if err := firstRealError(crawler.CrawlAllStream(st.Exchanges, st.transport(), st.Steps, st.crawlOptions(), sink)); err != nil {
+		return res, err
 	}
 
 	// Concatenate the parts in exchange order; the result is byte-
-	// identical to WriteDataset over the equivalent batch crawl.
+	// identical to WriteDataset over the same crawl held in memory.
 	out, err := os.Create(outPath)
 	if err != nil {
 		return res, err
@@ -259,20 +257,4 @@ func datasetRecordOf(r *crawler.Record) *datasetRecord {
 		ErrKind:     r.ErrKind,
 		Attempts:    r.Attempts,
 	}
-}
-
-// firstRealError unwraps the errors.Join CrawlAllStream returns when the
-// run stops early: the error that caused the stop (abort sentinel,
-// checkpoint-write failure, spill-write failure) is the interesting one;
-// the errStreamStopped echoes from the other exchange goroutines are not.
-func firstRealError(err error) error {
-	type multi interface{ Unwrap() []error }
-	if m, ok := err.(multi); ok {
-		for _, e := range m.Unwrap() {
-			if e != nil && !errors.Is(e, errStreamStopped) {
-				return e
-			}
-		}
-	}
-	return err
 }

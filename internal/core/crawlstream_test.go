@@ -12,11 +12,12 @@ import (
 
 // TestStreamDatasetMatchesBatch locks in the spill-and-concatenate
 // contract: the streamed dataset file is byte-identical to WriteDataset
-// over the equivalent batch crawl, and no spill parts survive completion.
+// over the same crawl held in memory, and no spill parts survive
+// completion.
 func TestStreamDatasetMatchesBatch(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	cfg := streamConfig(2, 0, "flaky")
-	batch, err := RunStudy(cfg)
+	batch, err := crawlAndAnalyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,7 +40,7 @@ func TestStreamDatasetMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(want.Bytes(), got) {
-		t.Errorf("streamed dataset differs from batch WriteDataset (want %d bytes, got %d)", want.Len(), len(got))
+		t.Errorf("streamed dataset differs from in-memory WriteDataset (want %d bytes, got %d)", want.Len(), len(got))
 	}
 	if res.Records != batch.Analysis.TotalCrawled {
 		t.Errorf("res.Records = %d, want %d", res.Records, batch.Analysis.TotalCrawled)
@@ -136,7 +137,7 @@ func TestStreamDatasetRejectsAnalysisCheckpoint(t *testing.T) {
 	cfg := streamConfig(1, 4, "")
 	dir := t.TempDir()
 	anCkpt := filepath.Join(dir, "analysis.ckpt")
-	_, err := RunStudyStream(cfg, StreamOptions{CheckpointPath: anCkpt, CheckpointEvery: 5, AbortAfter: 40})
+	_, err := RunStudy(cfg, StreamOptions{CheckpointPath: anCkpt, CheckpointEvery: 5, AbortAfter: 40})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatal(err)
 	}
@@ -166,7 +167,7 @@ func TestStreamDatasetRejectsAnalysisCheckpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunStudyStream(cfg, StreamOptions{Resume: ck2}); err == nil {
+	if _, err := RunStudy(cfg, StreamOptions{Resume: ck2}); err == nil {
 		t.Error("analysis resumed from a crawl checkpoint, want error")
 	}
 }

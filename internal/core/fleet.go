@@ -6,12 +6,9 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/crawler"
-	"repro/internal/obs"
 	"repro/internal/web"
 )
 
@@ -85,8 +82,8 @@ type shardRun struct {
 
 // RunFleet executes the study as a sharded fleet (see the package-level
 // comment above). On success with a full scope, st.Analysis holds the
-// merged result — element-identical to Study.Run's except that Verdicts
-// is empty and CacheStats covers only this process's scans.
+// merged result — element-identical to RunStream's, except that
+// CacheStats covers only this process's scans.
 func (st *Study) RunFleet(opts FleetOptions) error {
 	an := st.Analyzer
 	names, kinds := st.exchangeNamesKinds()
@@ -118,8 +115,10 @@ func (st *Study) RunFleet(opts FleetOptions) error {
 	}
 
 	runs := make([]*shardRun, len(scope))
+	plan := make([]int, len(scope))
 	resumedTotal := 0
 	for pos, i := range scope {
+		plan[pos] = st.Steps[i]
 		sr := &shardRun{idx: i, visits: map[string]*shardVisit{}}
 		sr.fold = newFoldState(an, names[i:i+1], kinds[i:i+1], false)
 		if opts.Resume {
@@ -153,47 +152,26 @@ func (st *Study) RunFleet(opts FleetOptions) error {
 		st.driveShortenerTraffic()
 	}
 
-	// One verdict cache shared across every shard worker: total hit/miss
-	// counts stay deterministic (misses == distinct keys) and fleet-size
-	// invariant, exactly like the worker pool's shared cache.
-	var cache *VerdictCache
-	if !an.DisableCache {
-		cache = NewVerdictCache()
-	}
+	// One engine, and so one verdict cache, shared across every shard
+	// worker: total hit/miss counts stay deterministic (misses == distinct
+	// keys) and fleet-size invariant. Each shard folds into its own state,
+	// so the engine takes no fold lock.
+	e := newEngine(an, nil)
 
 	an.Metrics.Gauge("fleet.size").Set(int64(fleet))
 	an.Metrics.Gauge("fleet.shards").Set(int64(len(scope)))
 
 	var fleetFolded atomic.Int64
-	var abortedFlag atomic.Bool
-	stopC := make(chan struct{})
-	var stopOnce sync.Once
-	stop := func() { stopOnce.Do(func() { close(stopC) }) }
-
 	start := time.Now()
 	errs := make([]error, len(scope))
-	plan := make([]int, len(scope))
-	for pos, i := range scope {
-		plan[pos] = st.Steps[i]
-	}
 	runLongestFirst(fleet, plan, func(pos int) {
-		select {
-		case <-stopC:
-			// The fleet is stopping: skip the shards not yet started (their
-			// checkpoints, if any, are untouched and resume cleanly).
-			return
-		default:
-		}
-		errs[pos] = st.runShard(runs[pos], cache, opts, nShards, every, &fleetFolded, stopC, stop, &abortedFlag)
+		errs[pos] = st.runShard(e, runs[pos], opts, nShards, every, &fleetFolded)
 	})
-	stop()
 
-	for _, e := range errs {
-		if e != nil && !errors.Is(e, errStreamStopped) {
-			return e
-		}
+	if err := firstRealError(errs...); err != nil {
+		return err
 	}
-	if abortedFlag.Load() {
+	if e.halt.Load() {
 		return fmt.Errorf("%w after %d records (shards: %s)", ErrAborted, fleetFolded.Load(), opts.ShardDir)
 	}
 
@@ -206,14 +184,7 @@ func (st *Study) RunFleet(opts FleetOptions) error {
 
 	merger := NewShardMerger()
 	for _, sr := range runs {
-		snap := &shardSnapshot{
-			index:   sr.idx,
-			shards:  nShards,
-			planned: st.Steps[sr.idx],
-			fold:    sr.fold.snapshot(),
-			visits:  sr.visits,
-		}
-		if err := merger.add(st.Config.Seed, st.Config.checkpointHash(), snap); err != nil {
+		if err := merger.add(st.Config.Seed, st.Config.checkpointHash(), st.shardSnapshot(sr, nShards)); err != nil {
 			return err
 		}
 	}
@@ -221,18 +192,7 @@ func (st *Study) RunFleet(opts FleetOptions) error {
 	if err != nil {
 		return err
 	}
-	cstats := CacheStats{}
-	if cache != nil {
-		cstats = cache.Stats()
-	}
-	a.CacheStats = cstats
-	an.Metrics.Counter("pipeline.cache.hits").Add(int64(cstats.Hits))
-	an.Metrics.Counter("pipeline.cache.misses").Add(int64(cstats.Misses))
-	// One aggregate-stage span per exchange, mirroring the batch path's
-	// span counts.
-	for _, name := range names {
-		an.Tracer.Start(name, obs.StageAggregate).End()
-	}
+	a.CacheStats = e.cacheStats()
 	st.Config.Metrics.Histogram("study.fleet_seconds").Observe(time.Since(start).Seconds())
 	st.Analysis = a
 	st.publishRenderMetrics()
@@ -247,124 +207,51 @@ func (st *Study) RunFleet(opts FleetOptions) error {
 	return nil
 }
 
-// runLongestFirst calls job(p) for every p in [0, len(plan)) on up to
-// workers goroutines sharing one queue ordered longest plan first (plan[p]
-// records, ties in index order): the biggest job is claimed first, so the
-// wall clock approaches max(longest plan, total/workers) instead of
-// whatever an arbitrary order leaves for last, and a worker that finishes
-// a short job immediately steals the next one. It returns once every job
-// has returned. Both RunFleet (one shard per job) and RunStream (one
-// exchange pipeline per job) schedule through it.
-func runLongestFirst(workers int, plan []int, job func(p int)) {
-	order := make([]int, len(plan))
-	for p := range order {
-		order[p] = p
-	}
-	sort.SliceStable(order, func(a, b int) bool { return plan[order[a]] > plan[order[b]] })
-	queue := make(chan int, len(order))
-	for _, p := range order {
-		queue <- p
-	}
-	close(queue)
-	if workers > len(order) {
-		workers = len(order)
-	}
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for p := range queue {
-				job(p)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
 // runShard executes one shard's full pipeline on the calling worker
-// goroutine: crawl the exchange's session, scan each record through the
-// shared cache, fold into the shard's single-exchange accumulator, and
-// checkpoint periodically. Returns errStreamStopped when the fleet-wide
-// stop fired (abort or a sibling's failure) — never a shard-local error
-// disguised as one.
-func (st *Study) runShard(sr *shardRun, cache *VerdictCache, opts FleetOptions, nShards, every int,
-	fleetFolded *atomic.Int64, stopC chan struct{}, stop func(), abortedFlag *atomic.Bool) error {
-	an := st.Analyzer
-	i := sr.idx
-	name := st.Exchanges[i].Config().Name
-
+// goroutine: the engine crawls the exchange's session, scans each record
+// through the shared cache and folds each batch into the shard's
+// single-exchange accumulator, which checkpoints periodically. Returns
+// errStreamStopped when the fleet halted (abort or a sibling's failure).
+func (st *Study) runShard(e *engine, sr *shardRun, opts FleetOptions, nShards, every int, fleetFolded *atomic.Int64) error {
 	// Recorder inside, fault injector outside: synthesized faults never
 	// reach the services, so they must not be recorded as visits either.
 	recorder := &shardVisitRecorder{inner: st.Universe.Internet, reg: st.Universe.Shorteners, visits: sr.visits}
-	transport := st.transportOver(recorder)
-	exOpts := crawler.ExchangeOptions(st.crawlOptions(), i, st.Steps[i])
-
-	var ckptErr error
-	sink := func(rec *crawler.Record) error {
-		select {
-		case <-stopC:
-			return errStreamStopped
-		default:
-		}
-		if rec.Seq < sr.startAt {
-			// Covered by the restored checkpoint: fetch-replayed for the
-			// virtual clock and the shortener counters, never re-folded.
-			an.Metrics.Counter("fleet.skipped").Inc()
-			return nil
-		}
-		o := an.scanOne(cache, name, rec)
-		sr.fold.fold(0, rec, o)
-		sr.folded++
-		an.Metrics.Counter("fleet.records").Inc()
-		total := fleetFolded.Add(1)
-		if opts.ShardDir != "" && (sr.startAt+sr.folded)%every == 0 {
-			if err := st.writeShard(sr, nShards, opts.ShardDir); err != nil {
-				ckptErr = err
-				stop()
+	name := st.Exchanges[sr.idx].Config().Name
+	err := e.run(name, sr.startAt, st.crawlFeed(sr.idx, st.transportOver(recorder)), func(batch []scanned) error {
+		for k := range batch {
+			sr.fold.fold(0, &batch[k].rec, batch[k].o)
+			sr.folded++
+			total := fleetFolded.Add(1)
+			if opts.ShardDir != "" && (sr.startAt+sr.folded)%every == 0 {
+				if err := st.writeShard(sr, nShards, opts.ShardDir); err != nil {
+					return err
+				}
+				e.an.Metrics.Counter("fleet.checkpoint.writes").Inc()
+			}
+			if opts.AbortAfter > 0 && total >= int64(opts.AbortAfter) {
+				e.halt.Store(true)
 				return errStreamStopped
 			}
-			an.Metrics.Counter("fleet.checkpoint.writes").Inc()
-		}
-		if opts.AbortAfter > 0 && total >= int64(opts.AbortAfter) {
-			abortedFlag.Store(true)
-			stop()
-			return errStreamStopped
 		}
 		return nil
-	}
-
-	_, _, err := crawler.CrawlExchangeStream(st.Exchanges[i], transport, exOpts, sink)
-	if ckptErr != nil {
-		return ckptErr
-	}
-	if err != nil {
-		if errors.Is(err, errStreamStopped) {
-			return errStreamStopped
-		}
-		return fmt.Errorf("core: fleet crawl %s: %w", name, err)
+	})
+	if err != nil || opts.ShardDir == "" {
+		return err
 	}
 	// Shard complete (folded == planned): persist the final state so a
 	// merge-only pass — possibly in another process — can consume it.
-	if opts.ShardDir != "" {
-		if err := st.writeShard(sr, nShards, opts.ShardDir); err != nil {
-			return err
-		}
-	}
-	return nil
+	return st.writeShard(sr, nShards, opts.ShardDir)
+}
+
+// shardSnapshot captures a shard's current state.
+func (st *Study) shardSnapshot(sr *shardRun, nShards int) *shardSnapshot {
+	return &shardSnapshot{index: sr.idx, shards: nShards, planned: st.Steps[sr.idx], fold: sr.fold.snapshot(), visits: sr.visits}
 }
 
 // writeShard atomically persists a shard's current state.
 func (st *Study) writeShard(sr *shardRun, nShards int, dir string) error {
-	snap := &shardSnapshot{
-		index:   sr.idx,
-		shards:  nShards,
-		planned: st.Steps[sr.idx],
-		fold:    sr.fold.snapshot(),
-		visits:  sr.visits,
-	}
 	return writeCheckpointFile(ShardPath(dir, sr.idx), ckptShard,
-		st.Config.Seed, st.Config.checkpointHash(), encodeShardPayload(snap))
+		st.Config.Seed, st.Config.checkpointHash(), encodeShardPayload(st.shardSnapshot(sr, nShards)))
 }
 
 // validateShardCheckpoint checks a loaded checkpoint against the study
@@ -418,7 +305,7 @@ func fleetScope(only []int, n int) ([]int, error) {
 	return out, nil
 }
 
-// RunStudyFleet is the fleet analog of RunStudy/RunStudyStream: build the
+// RunStudyFleet is the fleet analog of RunStudy: build the
 // study, then execute it as a sharded fleet.
 func RunStudyFleet(cfg StudyConfig, opts FleetOptions) (*Study, error) {
 	return RunStudyFleetFrom(cfg, nil, opts)

@@ -15,18 +15,18 @@ import (
 // fleetSizes is the acceptance partition-worker matrix.
 var fleetSizes = []int{1, 2, 4, 8}
 
-// checkFleetMatchesRef asserts the fleet-mode contract against a batch
-// reference: Analysis deeply equal minus the per-record verdict log
-// (batch-only) and, when stripCache is set, minus cache traffic (a
+// checkFleetMatchesRef asserts the fleet-mode contract against the
+// crawl + Analyze reference: Analysis deeply equal minus the per-record
+// verdict log (Analyze-only) and, when stripCache is set, minus cache traffic (a
 // resumed fleet never re-scans restored records). Table IV statistics
 // must match exactly in every mode — visit replay is part of the
 // contract, not an approximation.
-func checkFleetMatchesRef(t *testing.T, label string, ref, got *Study, stripCache bool) {
+func checkFleetMatchesRef(t *testing.T, label string, ref *crawledStudy, got *Study, stripCache bool) {
 	t.Helper()
 	if len(got.Analysis.Verdicts) != 0 {
 		t.Errorf("%s: fleet run retained %d verdict slices, want none", label, len(got.Analysis.Verdicts))
 	}
-	a, b := stripBatchOnly(ref.Analysis), got.Analysis
+	a, b := stripVerdicts(ref.Analysis), got.Analysis
 	if stripCache {
 		a, b = stripCacheStats(a), stripCacheStats(b)
 	}
@@ -41,15 +41,16 @@ func checkFleetMatchesRef(t *testing.T, label string, ref, got *Study, stripCach
 }
 
 // TestFleetMatchesBatch locks in the headline guarantee: a full in-process
-// fleet run produces the batch run's exact Analysis — cache totals
-// included — and exact Table IV statistics, for clean and faulty crawls.
+// fleet run produces the crawl + Analyze reference's exact Analysis —
+// cache totals included — and exact Table IV statistics, for clean and
+// faulty crawls.
 func TestFleetMatchesBatch(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	for _, profile := range []string{"", "flaky"} {
 		cfg := streamConfig(3, 0, profile)
-		batch, err := RunStudy(cfg)
+		batch, err := crawlAndAnalyze(cfg)
 		if err != nil {
-			t.Fatalf("batch run (profile=%q): %v", profile, err)
+			t.Fatalf("crawl + Analyze (profile=%q): %v", profile, err)
 		}
 		for _, fleet := range []int{1, 4} {
 			got, err := RunStudyFleet(cfg, FleetOptions{Fleet: fleet})
@@ -63,7 +64,7 @@ func TestFleetMatchesBatch(t *testing.T) {
 
 // TestFleetInvarianceMatrix is the acceptance matrix: for seeds 1..5 and
 // fault profiles {off, flaky}, every fleet size in {1, 2, 4, 8} must
-// reproduce the batch reference exactly, and killing the fleet at a
+// reproduce the crawl + Analyze reference exactly, and killing the fleet at a
 // seed-randomized record count then resuming under a different (also
 // randomized) fleet size must still converge to the same report.
 func TestFleetInvarianceMatrix(t *testing.T) {
@@ -77,7 +78,7 @@ func TestFleetInvarianceMatrix(t *testing.T) {
 				t.Parallel()
 				testutil.VerifyNoLeaks(t)
 				cfg := streamConfig(seed, 0, profile)
-				ref, err := RunStudy(cfg)
+				ref, err := crawlAndAnalyze(cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -127,7 +128,7 @@ func TestFleetInvarianceMatrix(t *testing.T) {
 func TestFleetDoubleKill(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	cfg := streamConfig(4, 0, "flaky")
-	ref, err := RunStudy(cfg)
+	ref, err := crawlAndAnalyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -152,12 +153,12 @@ func TestFleetDoubleKill(t *testing.T) {
 
 // TestFleetDistributedSubsets covers the multi-invocation workflow: two
 // separate fleet processes cover disjoint shard subsets into a shared
-// directory, and a merge-only pass — no crawling — reconstructs the batch
+// directory, and a merge-only pass — no crawling — reconstructs the reference
 // report, Table IV included.
 func TestFleetDistributedSubsets(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	cfg := streamConfig(2, 0, "flaky")
-	ref, err := RunStudy(cfg)
+	ref, err := crawlAndAnalyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +231,7 @@ func TestShardMergeOrderInvariance(t *testing.T) {
 			t.Errorf("trial %d: merge order %v produced a different Analysis", trial, order)
 		}
 	}
-	if !reflect.DeepEqual(stripCacheStats(stripBatchOnly(st.Analysis)), stripCacheStats(want)) {
+	if !reflect.DeepEqual(stripCacheStats(stripVerdicts(st.Analysis)), stripCacheStats(want)) {
 		t.Error("re-merged Analysis differs from the fleet run's own merge")
 	}
 }
@@ -290,7 +291,7 @@ func TestFleetRejectsMismatches(t *testing.T) {
 func TestFleetResumeFreshWhenNoCheckpoints(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	cfg := streamConfig(3, 0, "")
-	ref, err := RunStudy(cfg)
+	ref, err := crawlAndAnalyze(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -230,7 +230,7 @@ func TestLongitudinalBudgetBoundaryAbort(t *testing.T) {
 	if !reflect.DeepEqual(res.Epochs[0].Analysis, base.Epochs[0].Analysis) {
 		t.Error("the budget-exhausting epoch was truncated; it must complete untouched")
 	}
-	if n := reg.Counter("stream.records").Value(); n != int64(steps0) {
+	if n := reg.Counter("pipeline.records").Value(); n != int64(steps0) {
 		t.Errorf("folded %d records under a %d budget — the boundary abort leaked folds into the next epoch", n, steps0)
 	}
 	if n := reg.Counter("study.universe.advanced").Value(); n != 0 {

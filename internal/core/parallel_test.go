@@ -12,7 +12,7 @@ import (
 // referenceAnalysis runs the strictly sequential, cache-free configuration
 // — the pre-pipeline behaviour every parallel variant must reproduce
 // byte-for-byte.
-func referenceAnalysis(st *Study) *Analysis {
+func referenceAnalysis(st *crawledStudy) *Analysis {
 	ref := &Analyzer{
 		Classifier:   st.Analyzer.Classifier,
 		Detector:     st.Detector,
@@ -37,7 +37,7 @@ func TestAnalyzeParallelDeterminism(t *testing.T) {
 		cfg.Seed = seed
 		cfg.Scale = 900
 		cfg.DriveShortenerTraffic = false
-		st, err := RunStudy(cfg)
+		st, err := crawlAndAnalyze(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"hash/fnv"
 	"runtime"
 	"sort"
@@ -239,7 +240,7 @@ func (an *Analyzer) inspect(cache *VerdictCache, rec *crawler.Record) Verdict {
 	return e.v
 }
 
-// recOutcome is the per-record result of the parallel scan phase.
+// recOutcome is the per-record result of the scan stage.
 type recOutcome struct {
 	class ReferralClass
 	v     Verdict
@@ -260,72 +261,179 @@ func (an *Analyzer) scanOne(cache *VerdictCache, exchangeName string, rec *crawl
 	return o
 }
 
-// scanRecords fans every crawl record out to the detector over a bounded
-// worker pool and returns per-crawl outcome slices in record order.
-// Results land in pre-sized slots indexed by (crawl, record), so the merge
-// is deterministic by construction: the fold that follows reads them in
-// exactly the order the sequential pipeline would have produced them.
-func (an *Analyzer) scanRecords(crawls []*crawler.Crawl) ([][]recOutcome, CacheStats) {
-	outcomes := make([][]recOutcome, len(crawls))
-	total := 0
-	for i, c := range crawls {
-		outcomes[i] = make([]recOutcome, len(c.Records))
-		total += len(c.Records)
-	}
+// foldBatch is how many scanned records the engine buffers per exchange
+// before folding them. Folding record by record convoys every exchange
+// on a shared fold lock; 64 amortizes it while keeping in-flight memory
+// at O(workers × foldBatch) records.
+const foldBatch = 64
 
-	var cache *VerdictCache
+// scanned is one record waiting in a fold batch, with its verdict.
+type scanned struct {
+	rec crawler.Record
+	o   recOutcome
+}
+
+// errStreamStopped unwinds an exchange once its run has halted; it never
+// escapes the engine's callers or StreamDataset.
+var errStreamStopped = errors.New("core: stream stopped")
+
+// engine is the one study engine. Analyze, RunStream and RunFleet drive
+// every exchange through engine.run and differ only in where the records
+// come from (an in-memory crawl or a live one) and where the batches
+// fold (one shared state or one state per shard).
+type engine struct {
+	an    *Analyzer
+	cache *VerdictCache
+	// foldMu serializes the folds when every exchange folds into one
+	// shared state (Analyze, RunStream); nil when each exchange owns its
+	// fold state (RunFleet's shards).
+	foldMu *sync.Mutex
+	// halt stops the whole run: set on an abort, a failed checkpoint
+	// write or the first crawl error, and read lock-free so crawls unwind
+	// without queueing for the fold lock.
+	halt atomic.Bool
+}
+
+// newEngine returns an engine with a fresh verdict cache, unless the
+// analyzer disables it.
+func newEngine(an *Analyzer, foldMu *sync.Mutex) *engine {
+	e := &engine{an: an, foldMu: foldMu}
 	if !an.DisableCache {
-		cache = NewVerdictCache()
+		e.cache = NewVerdictCache()
 	}
+	return e
+}
 
+// run drives one exchange through scan → batch → fold. feed produces the
+// exchange's records in crawl order and hands each to the sink it is
+// given. Records below startAt are covered by a resume checkpoint: they
+// are still fed, so the crawl replays them exactly, but never scanned or
+// folded. Every other record is counted in pipeline.records, scanned and
+// buffered; each full batch of foldBatch records, and the remainder once
+// feed returns, goes to fold in crawl order, under one aggregate span and
+// under foldMu when set. fold halts the run by setting e.halt and
+// returning errStreamStopped, or fails it by returning any other error.
+// run returns nil when the exchange completed, errStreamStopped when the
+// run halted, and otherwise the error — which halts every other exchange.
+func (e *engine) run(name string, startAt int, feed func(sink func(*crawler.Record) error) error,
+	fold func(batch []scanned) error) error {
+	if e.halt.Load() {
+		return errStreamStopped
+	}
+	an := e.an
+	batch := make([]scanned, 0, foldBatch)
+	flush := func() error {
+		if e.foldMu != nil {
+			e.foldMu.Lock()
+			defer e.foldMu.Unlock()
+		}
+		if e.halt.Load() {
+			return errStreamStopped
+		}
+		span := an.Tracer.Start(name, obs.StageAggregate)
+		defer span.End()
+		err := fold(batch)
+		batch = batch[:0]
+		return err
+	}
+	err := feed(func(rec *crawler.Record) error {
+		if e.halt.Load() {
+			return errStreamStopped
+		}
+		// startAt is 0 without a resume, and then nothing is skipped, not
+		// even an offline dataset's records with a negative Seq.
+		if startAt > 0 && rec.Seq < startAt {
+			an.Metrics.Counter("pipeline.skipped").Inc()
+			return nil
+		}
+		an.Metrics.Counter("pipeline.records").Inc()
+		batch = append(batch, scanned{rec: *rec})
+		s := &batch[len(batch)-1]
+		s.o = an.scanOne(e.cache, name, &s.rec)
+		if len(batch) < foldBatch {
+			return nil
+		}
+		return flush()
+	})
+	if err == nil && len(batch) > 0 {
+		err = flush()
+	}
+	if err != nil && !errors.Is(err, errStreamStopped) {
+		e.halt.Store(true)
+	}
+	return err
+}
+
+// cacheStats returns the run's verdict-cache traffic (zero when the
+// cache is disabled) and books it in the pipeline.cache counters.
+func (e *engine) cacheStats() CacheStats {
+	var s CacheStats
+	if e.cache != nil {
+		s = e.cache.Stats()
+	}
+	e.an.Metrics.Counter("pipeline.cache.hits").Add(int64(s.Hits))
+	e.an.Metrics.Counter("pipeline.cache.misses").Add(int64(s.Misses))
+	return s
+}
+
+// firstRealError returns the first error in errs, looking inside
+// errors.Join trees, that is not an errStreamStopped echo: the error that
+// stopped a run rather than the exchanges it unwound. Nil if none is.
+func firstRealError(errs ...error) error {
+	for _, err := range errs {
+		if m, ok := err.(interface{ Unwrap() []error }); ok {
+			if real := firstRealError(m.Unwrap()...); real != nil {
+				return real
+			}
+		} else if err != nil && !errors.Is(err, errStreamStopped) {
+			return err
+		}
+	}
+	return nil
+}
+
+// workerCount resolves Workers (<= 0 means runtime.GOMAXPROCS(0)) and
+// books the result in the pipeline.workers.configured gauge.
+func (an *Analyzer) workerCount() int {
 	workers := an.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > total && total > 0 {
-		workers = total
-	}
-
-	an.Metrics.Counter("pipeline.records").Add(int64(total))
 	an.Metrics.Gauge("pipeline.workers.configured").Set(int64(workers))
-	// busy/peak are timing-dependent (occupancy depends on scheduling) and
-	// are never asserted exactly; see the obs package determinism contract.
-	busy := an.Metrics.Gauge("pipeline.workers.busy")
-	peak := an.Metrics.Gauge("pipeline.workers.peak")
+	return workers
+}
 
-	if workers <= 1 {
-		for ci, c := range crawls {
-			for ri := range c.Records {
-				outcomes[ci][ri] = an.scanOne(cache, c.Exchange, &c.Records[ri])
-			}
-		}
-	} else {
-		type job struct{ ci, ri int }
-		jobs := make(chan job, 4*workers)
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				for j := range jobs {
-					busy.Add(1)
-					peak.SetMax(busy.Value())
-					outcomes[j.ci][j.ri] = an.scanOne(cache, crawls[j.ci].Exchange, &crawls[j.ci].Records[j.ri])
-					busy.Add(-1)
-				}
-			}()
-		}
-		for ci, c := range crawls {
-			for ri := range c.Records {
-				jobs <- job{ci, ri}
-			}
-		}
-		close(jobs)
-		wg.Wait()
+// runLongestFirst calls job(p) for every p in [0, len(plan)) on up to
+// workers goroutines sharing one queue ordered longest plan first (plan[p]
+// records, ties in index order): the biggest job is claimed first, so the
+// wall clock approaches max(longest plan, total/workers) instead of
+// whatever an arbitrary order leaves for last, and a worker that finishes
+// a short job immediately steals the next one. It returns once every job
+// has returned. Analyze, RunStream and RunFleet all schedule their
+// exchanges through it.
+func runLongestFirst(workers int, plan []int, job func(p int)) {
+	order := make([]int, len(plan))
+	for p := range order {
+		order[p] = p
 	}
-
-	if cache == nil {
-		return outcomes, CacheStats{}
+	sort.SliceStable(order, func(a, b int) bool { return plan[order[a]] > plan[order[b]] })
+	queue := make(chan int, len(order))
+	for _, p := range order {
+		queue <- p
 	}
-	return outcomes, cache.Stats()
+	close(queue)
+	if workers > len(order) {
+		workers = len(order)
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			for p := range queue {
+				job(p)
+			}
+		}()
+	}
+	wg.Wait()
 }

@@ -26,7 +26,7 @@ func TestFindingsStableAcrossSeeds(t *testing.T) {
 			cfg.MinMalPerPool = 14
 			cfg.MinBenignPerPool = 25
 			cfg.DriveShortenerTraffic = false
-			st, err := RunStudy(cfg)
+			st, err := RunStudy(cfg, StreamOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}

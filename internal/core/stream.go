@@ -4,13 +4,11 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"runtime"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/crawler"
-	"repro/internal/obs"
+	"repro/internal/httpsim"
 )
 
 // ErrAborted reports that a streaming run was stopped by StreamOptions.
@@ -19,22 +17,6 @@ import (
 // periodic checkpoint was last atomically written, exactly as after a
 // real SIGKILL.
 var ErrAborted = errors.New("core: streaming run aborted")
-
-// errStreamStopped unwinds a crawl once its run has decided to stop; it
-// never escapes RunStream or RunFleet.
-var errStreamStopped = errors.New("core: stream stopped")
-
-// foldBatch is how many scanned records a stream worker buffers per
-// exchange before taking the fold lock. Folding record by record convoys
-// every worker on that lock; 64 amortizes it while keeping in-flight
-// memory at O(workers × foldBatch) records.
-const foldBatch = 64
-
-// scanned is one record waiting in a worker's fold batch, with its verdict.
-type scanned struct {
-	rec crawler.Record
-	o   recOutcome
-}
 
 // StreamOptions tunes a bounded-memory streaming run (Study.RunStream).
 type StreamOptions struct {
@@ -70,15 +52,15 @@ type StreamOptions struct {
 }
 
 // RunStream executes the crawl and the analysis as one bounded-memory
-// pipeline. Up to Workers goroutines claim whole exchanges off a
-// longest-plan-first queue; each runs its exchange's crawl → scan inline
-// and folds the outcomes, in crawl order, into one shared accumulator in
-// batches of foldBatch under a single lock. Nothing accumulates per
-// record — no record slices, no HAR, no verdict log — so peak memory is
-// O(workers × foldBatch + aggregate state), not O(URLs). The resulting
-// st.Analysis is element-identical to the batch path's (Study.Run) except
-// that Verdicts is left empty; every report rendered from it is
-// byte-identical.
+// pipeline — the study engine over live crawls. Up to Workers goroutines
+// claim whole exchanges off a longest-plan-first queue; each runs its
+// exchange's crawl → scan inline and folds the outcomes, in crawl order,
+// into one shared accumulator in batches of foldBatch under a single
+// lock. Nothing accumulates per record — no record slices, no HAR, no
+// verdict log — so peak memory is O(workers × foldBatch + aggregate
+// state), not O(URLs). The resulting st.Analysis is element-identical to
+// Analyze's over the same crawls held in memory (Study.Crawl) except that
+// Verdicts is left empty; every report rendered from it is byte-identical.
 //
 // With a checkpoint path configured, kill-at-any-point + resume yields
 // the same final Analysis as an uninterrupted run: the resumed process
@@ -119,131 +101,61 @@ func (st *Study) RunStream(opts StreamOptions) error {
 	}
 	transport := st.transport()
 
-	workers := an.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
+	workers := an.workerCount()
 	every := opts.CheckpointEvery
 	if every <= 0 {
 		every = 5000
 	}
 
-	var cache *VerdictCache
-	if !an.DisableCache {
-		cache = NewVerdictCache()
-	}
-	if opts.WriteDeltaPath != "" && cache == nil {
+	var mu sync.Mutex
+	e := newEngine(an, &mu)
+	if opts.WriteDeltaPath != "" && e.cache == nil {
 		return fmt.Errorf("core: epoch delta output requires the verdict cache")
 	}
-	if opts.Preload != nil && cache != nil {
+	if opts.Preload != nil && e.cache != nil {
 		if opts.Preload.IntelHash == st.Universe.IntelFingerprint() {
-			n := cache.Preload(opts.Preload.Verdicts)
+			n := e.cache.Preload(opts.Preload.Verdicts)
 			an.Metrics.Counter("stream.delta.preloaded").Add(int64(n))
 		} else {
 			an.Metrics.Counter("stream.delta.skipped_intel_shift").Inc()
 		}
 	}
-	an.Metrics.Gauge("pipeline.workers.configured").Set(int64(workers))
 
-	// mu guards fs and the run's fold bookkeeping. halted is only set
-	// under mu but is read lock-free, so crawls unwind without queueing
-	// for the lock.
-	var (
-		mu            sync.Mutex
-		foldedThisRun int
-		aborted       bool
-		ckptErr       error
-		halted        atomic.Bool
-	)
-	// fold folds one exchange's batch in crawl order. Checkpoints and the
-	// abort budget are checked after every record, so both land on exact
-	// record counts even in the middle of a batch.
-	fold := func(ei int, batch []scanned) error {
-		mu.Lock()
-		defer mu.Unlock()
-		if halted.Load() {
-			return errStreamStopped
-		}
-		span := an.Tracer.Start(names[ei], obs.StageAggregate)
-		defer span.End()
-		for k := range batch {
-			fs.fold(ei, &batch[k].rec, batch[k].o)
-			foldedThisRun++
-			an.Metrics.Counter("stream.records").Inc()
-			if opts.CheckpointPath != "" && (resumedTotal+foldedThisRun)%every == 0 {
-				if err := writeCheckpointFile(opts.CheckpointPath, ckptAnalysis,
-					st.Config.Seed, st.Config.checkpointHash(), encodeFoldPayload(fs.snapshot())); err != nil {
-					ckptErr = err
-					halted.Store(true)
+	// foldedThisRun is guarded by mu, under which the engine runs every
+	// fold. Checkpoints and the abort budget are checked after every
+	// record, so both land on exact record counts even mid-batch.
+	foldedThisRun := 0
+	start := time.Now()
+	errs := make([]error, len(names))
+	runLongestFirst(workers, st.Steps, func(ei int) {
+		errs[ei] = e.run(names[ei], startAt[ei], st.crawlFeed(ei, transport), func(batch []scanned) error {
+			for k := range batch {
+				fs.fold(ei, &batch[k].rec, batch[k].o)
+				foldedThisRun++
+				if opts.CheckpointPath != "" && (resumedTotal+foldedThisRun)%every == 0 {
+					if err := writeCheckpointFile(opts.CheckpointPath, ckptAnalysis,
+						st.Config.Seed, st.Config.checkpointHash(), encodeFoldPayload(fs.snapshot())); err != nil {
+						return err
+					}
+					an.Metrics.Counter("stream.checkpoint.writes").Inc()
+				}
+				if opts.AbortAfter > 0 && foldedThisRun >= opts.AbortAfter {
+					e.halt.Store(true)
 					return errStreamStopped
 				}
-				an.Metrics.Counter("stream.checkpoint.writes").Inc()
 			}
-			if opts.AbortAfter > 0 && foldedThisRun >= opts.AbortAfter {
-				aborted = true
-				halted.Store(true)
-				return errStreamStopped
-			}
-		}
-		return nil
-	}
-
-	start := time.Now()
-	crawlErrs := make([]error, len(names))
-	base := st.crawlOptions()
-	runLongestFirst(workers, st.Steps, func(ei int) {
-		if halted.Load() {
-			return
-		}
-		batch := make([]scanned, 0, foldBatch)
-		// Records the resume checkpoint already covers are fetched (the
-		// virtual clock and the shortener hit counters must advance exactly
-		// as in the original run) but never scanned or folded.
-		sink := func(rec *crawler.Record) error {
-			if halted.Load() {
-				return errStreamStopped
-			}
-			if rec.Seq < startAt[ei] {
-				an.Metrics.Counter("stream.skipped").Inc()
-				return nil
-			}
-			batch = append(batch, scanned{rec: *rec})
-			s := &batch[len(batch)-1]
-			s.o = an.scanOne(cache, names[ei], &s.rec)
-			if len(batch) < foldBatch {
-				return nil
-			}
-			err := fold(ei, batch)
-			batch = batch[:0]
-			return err
-		}
-		_, _, err := crawler.CrawlExchangeStream(st.Exchanges[ei], transport,
-			crawler.ExchangeOptions(base, ei, st.Steps[ei]), sink)
-		if err == nil && len(batch) > 0 {
-			err = fold(ei, batch)
-		}
-		if err != nil && !errors.Is(err, errStreamStopped) {
-			crawlErrs[ei] = err
-			halted.Store(true)
-		}
+			return nil
+		})
 	})
 
-	if ckptErr != nil {
-		return ckptErr
+	if err := firstRealError(errs...); err != nil {
+		return err
 	}
-	if aborted {
+	if e.halt.Load() {
 		return fmt.Errorf("%w after %d records (checkpoint: %s)", ErrAborted, foldedThisRun, opts.CheckpointPath)
 	}
-	if err := errors.Join(crawlErrs...); err != nil {
-		return fmt.Errorf("core: streaming crawl: %w", err)
-	}
 
-	cstats := CacheStats{}
-	if cache != nil {
-		cstats = cache.Stats()
-	}
-	an.Metrics.Counter("pipeline.cache.hits").Add(int64(cstats.Hits))
-	an.Metrics.Counter("pipeline.cache.misses").Add(int64(cstats.Misses))
+	cstats := e.cacheStats()
 	st.Config.Metrics.Histogram("study.stream_seconds").Observe(time.Since(start).Seconds())
 
 	st.Analysis = fs.finish(cstats)
@@ -252,7 +164,7 @@ func (st *Study) RunStream(opts StreamOptions) error {
 		delta := &EpochDelta{
 			Epoch:     st.Config.Epoch,
 			IntelHash: st.Universe.IntelFingerprint(),
-			Verdicts:  cache.Export(),
+			Verdicts:  e.cache.Export(),
 		}
 		for _, s := range st.Universe.ChangedSites {
 			delta.ChangedHosts = append(delta.ChangedHosts, s.Host)
@@ -271,15 +183,12 @@ func (st *Study) RunStream(opts StreamOptions) error {
 	return nil
 }
 
-// RunStudyStream is the streaming analog of RunStudy: build the study,
-// then execute crawl + analysis as one bounded-memory pipeline.
-func RunStudyStream(cfg StudyConfig, opts StreamOptions) (*Study, error) {
-	st, err := NewStudy(cfg)
-	if err != nil {
-		return nil, err
+// crawlFeed is the engine feed for exchange ei: its crawl session,
+// streamed through transport.
+func (st *Study) crawlFeed(ei int, transport httpsim.RoundTripper) func(func(*crawler.Record) error) error {
+	opts := crawler.ExchangeOptions(st.crawlOptions(), ei, st.Steps[ei])
+	return func(sink func(*crawler.Record) error) error {
+		_, _, err := crawler.CrawlExchangeStream(st.Exchanges[ei], transport, opts, sink)
+		return err
 	}
-	if err := st.RunStream(opts); err != nil {
-		return nil, err
-	}
-	return st, nil
 }

@@ -26,9 +26,9 @@ func streamConfig(seed uint64, workers int, profile string) StudyConfig {
 	return cfg
 }
 
-// stripBatchOnly clears the fields the streaming contract excludes: the
-// per-record verdict log (batch-only by design).
-func stripBatchOnly(a *Analysis) *Analysis {
+// stripVerdicts clears the field the live engine runs exclude: the
+// per-record verdict log, which only Analyze over in-memory crawls keeps.
+func stripVerdicts(a *Analysis) *Analysis {
 	b := *a
 	b.Verdicts = map[string][]Verdict{}
 	return &b
@@ -43,27 +43,28 @@ func stripCacheStats(a *Analysis) *Analysis {
 }
 
 // TestStreamMatchesBatch locks in the core streaming guarantee: an
-// uninterrupted RunStream produces an Analysis deeply equal to the batch
-// Run's for every worker count and fault profile (minus the per-record
-// verdict log, which streaming intentionally drops).
+// uninterrupted RunStream produces an Analysis deeply equal to Analyze's
+// over the same crawls held in memory, for every worker count and fault
+// profile (minus the per-record verdict log, which streaming
+// intentionally drops).
 func TestStreamMatchesBatch(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	for _, profile := range []string{"", "flaky"} {
 		for _, workers := range []int{1, 8} {
 			cfg := streamConfig(3, workers, profile)
-			batch, err := RunStudy(cfg)
+			batch, err := crawlAndAnalyze(cfg)
 			if err != nil {
-				t.Fatalf("batch run (workers=%d profile=%q): %v", workers, profile, err)
+				t.Fatalf("crawl + Analyze (workers=%d profile=%q): %v", workers, profile, err)
 			}
-			stream, err := RunStudyStream(cfg, StreamOptions{})
+			stream, err := RunStudy(cfg, StreamOptions{})
 			if err != nil {
 				t.Fatalf("stream run (workers=%d profile=%q): %v", workers, profile, err)
 			}
 			if len(stream.Analysis.Verdicts) != 0 {
 				t.Errorf("streaming run retained %d verdict slices, want none", len(stream.Analysis.Verdicts))
 			}
-			if !reflect.DeepEqual(stripBatchOnly(batch.Analysis), stream.Analysis) {
-				t.Errorf("workers=%d profile=%q: streaming Analysis differs from batch", workers, profile)
+			if !reflect.DeepEqual(stripVerdicts(batch.Analysis), stream.Analysis) {
+				t.Errorf("workers=%d profile=%q: streaming Analysis differs from crawl + Analyze", workers, profile)
 			}
 		}
 	}
@@ -82,7 +83,7 @@ func TestStreamSchedulingInvariance(t *testing.T) {
 	for _, workers := range []int{1, 2, 16} {
 		cfg := streamConfig(2, workers, "flaky")
 		ckpt := filepath.Join(t.TempDir(), "study.ckpt")
-		st, err := RunStudyStream(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 1})
+		st, err := RunStudy(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 1})
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -93,7 +94,7 @@ func TestStreamSchedulingInvariance(t *testing.T) {
 		}
 
 		cut := 2*foldBatch + foldBatch/2
-		_, err = RunStudyStream(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 1, AbortAfter: cut})
+		_, err = RunStudy(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 1, AbortAfter: cut})
 		if !errors.Is(err, ErrAborted) {
 			t.Fatalf("workers=%d: aborted run: got %v, want ErrAborted", workers, err)
 		}
@@ -110,7 +111,7 @@ func TestStreamSchedulingInvariance(t *testing.T) {
 					ex.name, ex.folded, st.Steps[longestPlan(st.Steps)], cut)
 			}
 		}
-		got, err := RunStudyStream(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 1, Resume: ck})
+		got, err := RunStudy(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 1, Resume: ck})
 		if err != nil {
 			t.Fatalf("workers=%d: resumed run: %v", workers, err)
 		}
@@ -140,7 +141,7 @@ func longestPlan(steps []int) int {
 // what an operator rerunning the command would get.
 func resumeAfterKill(t *testing.T, cfg StudyConfig, ckpt string, every, cut int) *Study {
 	t.Helper()
-	_, err := RunStudyStream(cfg, StreamOptions{
+	_, err := RunStudy(cfg, StreamOptions{
 		CheckpointPath: ckpt, CheckpointEvery: every, AbortAfter: cut,
 	})
 	if !errors.Is(err, ErrAborted) {
@@ -156,7 +157,7 @@ func resumeAfterKill(t *testing.T, cfg StudyConfig, ckpt string, every, cut int)
 	} else if cut >= every {
 		t.Fatalf("no checkpoint on disk after folding %d records with interval %d", cut, every)
 	}
-	st, err := RunStudyStream(cfg, opts)
+	st, err := RunStudy(cfg, opts)
 	if err != nil {
 		t.Fatalf("resumed run: %v", err)
 	}
@@ -183,7 +184,7 @@ func TestStreamResumeDeterminism(t *testing.T) {
 					t.Parallel()
 					testutil.VerifyNoLeaks(t)
 					cfg := streamConfig(seed, workers, profile)
-					ref, err := RunStudyStream(cfg, StreamOptions{})
+					ref, err := RunStudy(cfg, StreamOptions{})
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -208,7 +209,7 @@ func TestStreamResumeDeterminism(t *testing.T) {
 func TestStreamDoubleKill(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	cfg := streamConfig(4, 8, "flaky")
-	ref, err := RunStudyStream(cfg, StreamOptions{})
+	ref, err := RunStudy(cfg, StreamOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,7 +217,7 @@ func TestStreamDoubleKill(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "study.ckpt")
 	const every = 11
 
-	_, err = RunStudyStream(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: every, AbortAfter: total / 3})
+	_, err = RunStudy(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: every, AbortAfter: total / 3})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("first kill: got %v, want ErrAborted", err)
 	}
@@ -224,7 +225,7 @@ func TestStreamDoubleKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = RunStudyStream(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: every, Resume: ck, AbortAfter: total / 4})
+	_, err = RunStudy(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: every, Resume: ck, AbortAfter: total / 4})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("second kill: got %v, want ErrAborted", err)
 	}
@@ -232,7 +233,7 @@ func TestStreamDoubleKill(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunStudyStream(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: every, Resume: ck})
+	got, err := RunStudy(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: every, Resume: ck})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -246,7 +247,7 @@ func TestStreamDoubleKill(t *testing.T) {
 func TestStreamResumeRejectsMismatchedConfig(t *testing.T) {
 	cfg := streamConfig(1, 4, "")
 	ckpt := filepath.Join(t.TempDir(), "study.ckpt")
-	_, err := RunStudyStream(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 5, AbortAfter: 40})
+	_, err := RunStudy(cfg, StreamOptions{CheckpointPath: ckpt, CheckpointEvery: 5, AbortAfter: 40})
 	if !errors.Is(err, ErrAborted) {
 		t.Fatalf("aborted run: got %v, want ErrAborted", err)
 	}
@@ -257,12 +258,12 @@ func TestStreamResumeRejectsMismatchedConfig(t *testing.T) {
 
 	wrongSeed := cfg
 	wrongSeed.Seed = 2
-	if _, err := RunStudyStream(wrongSeed, StreamOptions{Resume: ck}); err == nil {
+	if _, err := RunStudy(wrongSeed, StreamOptions{Resume: ck}); err == nil {
 		t.Error("resume under a different seed succeeded, want error")
 	}
 	wrongScale := cfg
 	wrongScale.Scale = 500
-	if _, err := RunStudyStream(wrongScale, StreamOptions{Resume: ck}); err == nil {
+	if _, err := RunStudy(wrongScale, StreamOptions{Resume: ck}); err == nil {
 		t.Error("resume under a different scale succeeded, want error")
 	}
 	// Worker count is deliberately NOT part of the config hash: the PR 1
@@ -270,7 +271,7 @@ func TestStreamResumeRejectsMismatchedConfig(t *testing.T) {
 	// operator may resume on different hardware.
 	moreWorkers := cfg
 	moreWorkers.Workers = 8
-	if _, err := RunStudyStream(moreWorkers, StreamOptions{Resume: ck}); err != nil {
+	if _, err := RunStudy(moreWorkers, StreamOptions{Resume: ck}); err != nil {
 		t.Errorf("resume under a different worker count failed: %v", err)
 	}
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/crawler"
 	"repro/internal/exchange"
@@ -29,9 +28,8 @@ type StudyConfig struct {
 	// DriveShortenerTraffic populates Table IV hit counters with
 	// background member traffic before the crawl.
 	DriveShortenerTraffic bool
-	// Workers bounds the analysis pipeline's detection worker pool;
-	// <= 0 uses runtime.GOMAXPROCS(0). Output is identical for every
-	// worker count.
+	// Workers bounds how many exchange pipelines run at once; <= 0 uses
+	// runtime.GOMAXPROCS(0). Output is identical for every worker count.
 	Workers int
 	// DisableVerdictCache turns off the single-flight per-URL verdict
 	// cache (every record then runs the full detector stack).
@@ -52,7 +50,7 @@ type StudyConfig struct {
 	JSHeapBytes int64
 	// Metrics and Tracer, when set, receive the observability stream from
 	// every layer of the run (crawler, pipeline, scanner, fault injector,
-	// study-level phase timings). Nil (the default) disables all
+	// study-level run timings). Nil (the default) disables all
 	// instrumentation; study output is byte-identical either way.
 	Metrics *obs.Registry
 	Tracer  *obs.Tracer
@@ -112,7 +110,6 @@ type Study struct {
 	Steps     []int
 	Detector  *Detector
 	Analyzer  *Analyzer
-	Crawls    []*crawler.Crawl
 	Analysis  *Analysis
 	// WrittenDelta holds the epoch delta RunStream wrote to
 	// StreamOptions.WriteDeltaPath, if any. The longitudinal runner
@@ -246,41 +243,27 @@ func (st *Study) BuildClassifier() *Classifier {
 	return &Classifier{ExchangeHosts: hosts, PopularHosts: st.Universe.PopularHosts}
 }
 
-// Run executes the crawl and the analysis. When a fault profile is
-// configured, only the crawl transport is degraded: analysis-time network
-// access (scanner UA fetches, sub-resource pulls) runs against the clean
-// universe, which is what keeps verdicts on successfully-fetched URLs
-// byte-identical to a fault-free run.
-func (st *Study) Run() error {
+// Crawl drives the background shortener traffic and crawls every
+// exchange into memory, HAR archives included: the collection half of
+// the study on its own, for slumcrawl's dataset and HAR output and for
+// offline analysis with Analyzer.Analyze. The crawl goes through the same
+// transport stack as RunStream, so the records are the ones a live run
+// scans.
+func (st *Study) Crawl() ([]*crawler.Crawl, error) {
 	if st.Config.DriveShortenerTraffic {
 		st.driveShortenerTraffic()
 	}
-	crawlStart := time.Now()
 	crawls, err := crawler.CrawlAll(st.Exchanges, st.transport(), st.Steps, st.crawlOptions())
 	if err != nil {
-		return fmt.Errorf("core: crawl: %w", err)
+		return nil, fmt.Errorf("core: crawl: %w", err)
 	}
-	crawlWall := time.Since(crawlStart)
-	st.Config.Metrics.Histogram("study.crawl_seconds").Observe(crawlWall.Seconds())
-	st.Crawls = crawls
-
-	analyzeStart := time.Now()
-	st.Analysis = st.Analyzer.Analyze(crawls)
-	st.Config.Metrics.Histogram("study.analyze_seconds").Observe(time.Since(analyzeStart).Seconds())
-	// Crawl throughput in whole URLs/sec of wall time — a gauge, and like
-	// all gauges timing-dependent (never asserted exactly).
-	if secs := crawlWall.Seconds(); secs > 0 && st.Config.Metrics != nil {
-		st.Config.Metrics.Gauge("study.crawl_urls_per_sec").Set(int64(float64(st.Analysis.TotalCrawled) / secs))
-	}
-	st.publishRenderMetrics()
-	return nil
+	return crawls, nil
 }
 
 // publishRenderMetrics drains the universe's render-cache counters into
 // the obs registry. Only called at deterministic completion points (end
-// of a batch run, end of a stream run, end of a fleet merge) — never on
-// abort paths, where the number of pages served so far is
-// schedule-dependent. While no page cache hits capacity (uncached == 0)
+// of a stream run, end of a fleet merge) — never on abort paths, where
+// the number of pages served so far is schedule-dependent. While no page cache hits capacity (uncached == 0)
 // the hit/miss split is exact and worker-count-invariant, so the metrics
 // invariance tests may compare these counters byte-for-byte.
 func (st *Study) publishRenderMetrics() {
@@ -296,9 +279,11 @@ func (st *Study) publishRenderMetrics() {
 
 // transport assembles the crawl-path transport: the virtual internet,
 // wrapped in the configured fault injector when a profile is set. Both
-// the batch and the streaming pipeline crawl through exactly this stack,
-// which is what makes their fetch streams — and therefore their reports —
-// interchangeable.
+// Crawl and RunStream crawl through exactly this stack, which is what
+// makes their fetch streams — and therefore their reports —
+// interchangeable. Only the crawl is degraded: the detector's scan-time
+// fetches run against the clean universe, which keeps verdicts on
+// successfully fetched URLs identical to a fault-free run.
 func (st *Study) transport() httpsim.RoundTripper {
 	return st.transportOver(st.Universe.Internet)
 }
@@ -364,13 +349,14 @@ func (st *Study) driveShortenerTraffic() {
 	}
 }
 
-// RunStudy is the one-call entry point used by commands and benchmarks.
-func RunStudy(cfg StudyConfig) (*Study, error) {
+// RunStudy is the one-call entry point used by commands and benchmarks:
+// build the study, then run it (Study.RunStream).
+func RunStudy(cfg StudyConfig, opts StreamOptions) (*Study, error) {
 	st, err := NewStudy(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := st.Run(); err != nil {
+	if err := st.RunStream(opts); err != nil {
 		return nil, err
 	}
 	return st, nil

@@ -97,15 +97,18 @@ func stageCounts(t *testing.T, metrics map[string]any) map[string]float64 {
 // TestMetricsCounterWorkerInvariance asserts the determinism contract for
 // count-valued metrics: every counter and every stage count must be
 // exactly identical across worker counts {1, 2, 8} on the default path
-// (plus a run with -stream, which is accepted and changes nothing) and
-// across fleet sizes {1, 2, 4} with -fleet, while timing-valued metrics
-// (gauges, histograms, stage latencies) are excluded from the comparison.
+// ("batch", the name it kept from the engine it replaced), across the same
+// worker counts with -stream (accepted, and it changes nothing: its last
+// run drops the flag and must still match), and across fleet sizes
+// {1, 2, 4} with -fleet, while timing-valued metrics (gauges, histograms,
+// stage latencies) are excluded from the comparison.
 func TestMetricsCounterWorkerInvariance(t *testing.T) {
 	for _, mode := range []struct {
 		name string
 		runs [][]string // flags per run; the first run is the baseline
 	}{
-		{"default", [][]string{{"-workers", "1"}, {"-workers", "2"}, {"-workers", "8"}, {"-workers", "2", "-stream"}}},
+		{"batch", [][]string{{"-workers", "1"}, {"-workers", "2"}, {"-workers", "8"}}},
+		{"stream", [][]string{{"-workers", "1", "-stream"}, {"-workers", "2", "-stream"}, {"-workers", "8", "-stream"}, {"-workers", "2"}}},
 		{"fleet", [][]string{{"-fleet", "1"}, {"-fleet", "2"}, {"-fleet", "4"}}},
 	} {
 		t.Run(mode.name, func(t *testing.T) {
